@@ -13,13 +13,12 @@ from math import comb
 from .errors import NotJMPair, NotPlanar, OracleMismatch, UnrecognizedShape
 from .ideal import hibi_ideal
 from .oracle import (
-    _DegreeGraph,
-    _reduce_row,
+    RowSpan,
     graded_betti_oracle,
+    kernel_basis,
     module_vec_row,
-    row_rank,
+    variable_shifts,
 )
-from .polynomials import mono_mul
 from .syzygy import all_typed_generators, diamond_reducible, typed_generator
 
 # -- grid formulas -----------------------------------------------------------
@@ -161,7 +160,6 @@ def n_diamond_planar(L, ideal=None):
     _require_planar(L)
     if ideal is None:
         ideal = hibi_ideal(L)
-    n = L.n
     pairs = [r.pair for r in ideal.relations]
     candidates = []
     for i in range(len(pairs)):
@@ -171,15 +169,12 @@ def n_diamond_planar(L, ideal=None):
                 continue
             if not diamond_reducible(L, d1, d2):
                 candidates.append(typed_generator(ideal, "D", (*d1, *d2)))
-    rows = []
-    for prev in _DegreeGraph(ideal, 3).kernel_basis():
-        for v in range(n):
-            shift = tuple(1 if t == v else 0 for t in range(n))
-            rows.append({(mono_mul(mu, shift), i): c
-                         for (mu, i), c in prev.items()})
-    trivial = row_rank(rows)
-    count = row_rank(rows + [module_vec_row(t.element) for t in candidates]) - trivial
-    oracle_deg4 = graded_betti_oracle(ideal, 4)[-1].minimal_generators
+    span = RowSpan(variable_shifts(kernel_basis(ideal, 3)))
+    trivial = span.rank
+    for t in candidates:
+        span.add(module_vec_row(t.element))
+    count = span.rank - trivial
+    oracle_deg4 = graded_betti_oracle(ideal)[-1].minimal_generators
     if count != oracle_deg4:
         raise OracleMismatch(
             f"diamond count {count} disagrees with oracle degree-4 count "
@@ -212,7 +207,7 @@ def planar_betti(L, check_oracle=True):
                                      n_box_planar(L), n_diamond_planar(L, ideal))
     if check_oracle:
         oracle_total = sum(r.minimal_generators
-                           for r in graded_betti_oracle(ideal, 4))
+                           for r in graded_betti_oracle(ideal))
         if breakdown.total != oracle_total:
             raise OracleMismatch(
                 f"formula total {breakdown.total} disagrees with oracle "
@@ -222,29 +217,6 @@ def planar_betti(L, check_oracle=True):
 
 
 # -- minimalization of the typed generating set -------------------------------
-
-
-class _RankTracker:
-    """Incremental integer rank: add rows one at a time, report whether each
-    one enlarged the span.  Same fraction-free elimination as row_rank."""
-
-    def __init__(self):
-        self.pivots = {}
-
-    def add(self, row):
-        row = {k: v for k, v in row.items() if v}
-        while row:
-            c = min(row)
-            p = self.pivots.get(c)
-            if p is None:
-                self.pivots[c] = _reduce_row(row)
-                return True
-            a, b = row[c], p[c]
-            new = {k: v * b for k, v in row.items()}
-            for k, v in p.items():
-                new[k] = new.get(k, 0) - v * a
-            row = {k: v for k, v in new.items() if v}
-        return False
 
 
 _COARSE_OF = {"S1": "strip", "S2": "strip", "L": "L", "B1": "box", "B2": "box",
@@ -265,18 +237,12 @@ def typed_minimal_histogram(ideal):
     gens = sorted(all_typed_generators(ideal),
                   key=lambda t: (_KIND_PRIORITY[t.kind], t.witness))
     hist = {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 0}
-    deg3 = _RankTracker()
-    deg4 = _RankTracker()
-    n = ideal.lattice.n
-    for prev in _DegreeGraph(ideal, 3).kernel_basis():
-        for v in range(n):
-            shift = tuple(1 if t == v else 0 for t in range(n))
-            deg4.add({(mono_mul(mu, shift), i): c
-                      for (mu, i), c in prev.items()})
+    deg3 = RowSpan()
+    deg4 = RowSpan(variable_shifts(kernel_basis(ideal, 3)))
     for t in gens:
         degree = next(iter(t.element.values())).degree() + 2
-        tracker = deg3 if degree == 3 else deg4
-        if tracker.add(module_vec_row(t.element)):
+        span = deg3 if degree == 3 else deg4
+        if span.add(module_vec_row(t.element)):
             hist[_COARSE_OF[t.kind]] += 1
     return hist
 
@@ -294,7 +260,6 @@ class LinearityVerdict:
     k: int
     verdict: str  # "linear" or "nonlinear"
     reason: str
-    oracle_agrees: bool = None
 
 
 def linearity_by_k(L):

@@ -3,16 +3,15 @@
 Subcommands: lattice, ideal, syzygy, betti, linearity, census.  A lattice is
 given either as --grid M N or as --file PATH pointing to a JSON document with
 "elements" (a list of names) and "covers" (pairs of indices into that list,
-lower element first).  Exit codes: 0 success, 1 input
-error, 2 mathematical mismatch (a formula/oracle disagreement or a failed
-Groebner certificate).
+lower element first).  Exit codes: 0 success, 1 input error (including a
+missing or unknown argument), 2 mathematical mismatch (a formula/oracle
+disagreement or a failed Groebner certificate).
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import lattice as lat
@@ -56,11 +55,6 @@ def _parse_field(text, nvars):
                 f"prime {p} must exceed the number of variables ({nvars})")
         return field
     raise ValueError(f"unknown field {text!r}; use qq or fp:P")
-
-
-def _default_max_degree():
-    env = os.environ.get("HIBI_MAX_DEGREE")
-    return int(env) if env else 6
 
 
 def _load_lattice(args):
@@ -153,7 +147,7 @@ def cmd_ideal(args):
 
 def cmd_syzygy(args):
     L = _load_lattice(args)
-    ideal = hibi_ideal(L, _parse_field(args.field, L.n))
+    ideal = hibi_ideal(L)
     gens = all_typed_generators(ideal)
     if args.verify:
         for t in gens:
@@ -202,8 +196,7 @@ def cmd_betti(args):
                      + " + ".join(str(v) for v in breakdown.values())
                      + f" = {formula_total}")
     if args.mode in ("oracle", "both"):
-        ideal = hibi_ideal(L, _parse_field(args.field, L.n))
-        rows = graded_betti_oracle(ideal, args.max_degree)
+        rows = graded_betti_oracle(hibi_ideal(L))
         oracle_total = sum(r.minimal_generators for r in rows)
         report["oracle"] = {
             "total": oracle_total,
@@ -226,19 +219,19 @@ def cmd_betti(args):
 
 def cmd_linearity(args):
     L = _load_lattice(args)
-    ideal = hibi_ideal(L, _parse_field(args.field, L.n))
+    ideal = hibi_ideal(L)
     try:
         v = linearity_by_k(L)
         verdict, reason, k = v.verdict, v.reason, v.k
     except UnrecognizedShape as exc:
         k = k_of(L)
-        verdict = ("linear" if is_linear_first_syzygy(ideal, args.max_degree)
+        verdict = ("linear" if is_linear_first_syzygy(ideal)
                    else "nonlinear")
         reason = f"decided by the oracle ({exc})"
     report = {"k": k, "verdict": verdict, "reason": reason}
     lines = [f"k = {k}", f"verdict: {verdict}", f"reason: {reason}"]
     if args.verify:
-        oracle = is_linear_first_syzygy(ideal, args.max_degree)
+        oracle = is_linear_first_syzygy(ideal)
         report["oracle_agrees"] = (verdict == "linear") == oracle
         lines.append(f"oracle agrees: {report['oracle_agrees']}")
         if not report["oracle_agrees"]:
@@ -294,8 +287,17 @@ def cmd_census(args):
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_INPUT on a usage error; argparse's own 2 would read as
+    a mathematical mismatch."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hibi",
         description="First syzygies of Hibi rings of finite distributive "
                     "lattices")
@@ -305,16 +307,13 @@ def build_parser():
         if lattice_input:
             p.add_argument("--grid", nargs=2, type=int, metavar=("M", "N"))
             p.add_argument("--file", metavar="PATH")
-        p.add_argument("--field", default="qq", metavar="{qq|fp:P}")
-        p.add_argument("--max-degree", type=int,
-                       default=_default_max_degree())
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
 
     common(sub.add_parser("lattice", help="lattice report"))
     p = sub.add_parser("ideal", help="generator listing or export script")
     common(p)
+    p.add_argument("--field", default="qq", metavar="{qq|fp:P}")
     p.add_argument("--export", choices=("m2", "singular", "json"))
     p = sub.add_parser("syzygy", help="typed syzygy listing and histogram")
     common(p)
@@ -349,9 +348,6 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
     except (NotGroebner, OracleMismatch) as exc:

@@ -53,10 +53,6 @@ class ConditionViolated(HibiError):
     """A typed-generator witness fails one of its defining conditions."""
 
 
-class DegreeTooSmall(HibiError):
-    pass
-
-
 class NotJMPair(HibiError):
     pass
 

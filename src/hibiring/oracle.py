@@ -13,14 +13,26 @@ spanning forest.  The minimal number of generators in degree d is the kernel
 dimension minus the dimension of the span of the degree-(d-1) kernel shifted
 by each variable; ranks are computed by fraction-free sparse elimination over
 the integers, so every number is exact and characteristic-free.
+
+Minimal first syzygies live in degrees 3 and 4 only.  The diamond relations
+are a quadratic Groebner basis (Hibi 1987; buchberger_check certifies it), so
+beta_{1,j}(I) <= beta_{1,j}(in(I)) because graded Betti numbers can only grow
+on passing to the initial ideal, and the Taylor resolution of a quadratic
+monomial ideal has first-syzygy shifts lcm(m, m') of degree at most 4
+(Herzog-Hibi, Monomial Ideals, GTM 260: Betti numbers of initial ideals, and
+the Taylor complex).  Hence beta_{1,j}(I) = 0 for j > 4, and the public
+functions report degrees 3..TOP_DEGREE only.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count, islice
 from math import gcd
 
-from .errors import DegreeTooSmall
 from .polynomials import mono_mul
+
+# The degree bound proved in the module docstring.
+TOP_DEGREE = 4
 
 # A row is a sparse vector over column keys (mu, i) with integer entries.
 
@@ -123,45 +135,71 @@ class _DegreeGraph:
             rows.append({k: v for k, v in row.items() if v})
         return rows
 
-    def component_of_row(self, row):
-        mu, i = next(iter(row))
-        # both endpoints of any column lie in one component
-        for key, head, tail in self.edges:
-            if key == (mu, i):
-                return self.component[head]
-        raise KeyError((mu, i))
+    def shifted_rank(self, rows):
+        """Rank of rows supported on this degree's columns, eliminated one
+        component at a time and stopped once a component's cycle space is
+        full."""
+        col_component = {key: self.component[head]
+                         for key, head, _ in self.edges}
+        # a component's cycle space has dimension #edges - #vertices + 1
+        excess = Counter(col_component.values())
+        excess.subtract(self.component.values())
+        by_comp = {}
+        for row in rows:
+            by_comp.setdefault(col_component[next(iter(row))], []).append(row)
+        return sum(row_rank(comp_rows, target=excess[cid] + 1)
+                   for cid, comp_rows in by_comp.items())
 
 
-def _reduce_row(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
+class RowSpan:
+    """Integer span of sparse rows, grown one row at a time by fraction-free
+    elimination; add reports whether the row enlarged the span."""
 
+    def __init__(self, rows=()):
+        self.pivots = {}
+        for row in rows:
+            self.add(row)
 
-def row_rank(rows, target=None):
-    """Rank of integer sparse rows by fraction-free elimination."""
-    pivots = {}
-    rank = 0
-    for row in rows:
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, row):
         row = {k: v for k, v in row.items() if v}
         while row:
             c = min(row)
-            p = pivots.get(c)
+            p = self.pivots.get(c)
             if p is None:
-                pivots[c] = _reduce_row(row)
-                rank += 1
-                break
+                g = gcd(*row.values())
+                self.pivots[c] = ({k: v // g for k, v in row.items()}
+                                  if g > 1 else row)
+                return True
             a, b = row[c], p[c]
             new = {k: v * b for k, v in row.items()}
             for k, v in p.items():
                 new[k] = new.get(k, 0) - v * a
             row = {k: v for k, v in new.items() if v}
-        if target is not None and rank >= target:
+        return False
+
+
+def row_rank(rows, target=None):
+    """Rank of integer sparse rows; stops early once target is reached."""
+    span = RowSpan()
+    for row in rows:
+        span.add(row)
+        if target is not None and span.rank >= target:
             break
-    return rank
+    return span.rank
+
+
+def variable_shifts(basis):
+    """Every row of a degree-(d-1) kernel basis times every variable; these
+    span the degree-d syzygies that are not minimal."""
+    for row in basis:
+        n = len(next(iter(row))[0])
+        for v in range(n):
+            yield {(mu[:v] + (mu[v] + 1,) + mu[v + 1:], i): c
+                   for (mu, i), c in row.items()}
 
 
 def module_vec_row(vec):
@@ -180,48 +218,22 @@ def module_vec_row(vec):
     return row
 
 
-def graded_betti_oracle(ideal, max_degree=6):
-    """Exact minimal-generator counts of the first syzygy per degree.
-
-    Returns one GradedBettiRow for each degree 3..max_degree.
-    """
-    if max_degree < 3:
-        raise DegreeTooSmall("max_degree must be at least 3")
-    n = ideal.lattice.n
-    rows = []
-    prev_basis = []  # kernel basis one degree down; kernel in degree 2 is 0
-    for d in range(3, max_degree + 1):
+def _graded_rows(ideal):
+    """One GradedBettiRow per degree d = 3, 4, 5, ... without end.  The
+    degree-d kernel basis is built only when row d+1 is asked for."""
+    basis = []  # kernel basis one degree down; kernel in degree 2 is 0
+    for d in count(3):
         graph = _DegreeGraph(ideal, d)
-        kernel_dim = graph.kernel_dim
-        trivial_dim = 0
-        if prev_basis and kernel_dim:
-            # group shifted vectors by the component their support lies in,
-            # and stop eliminating a component once its cycle space is full
-            col_component = {}
-            comp_edges = {}
-            comp_vertices = {}
-            for key, head, tail in graph.edges:
-                cid = graph.component[head]
-                col_component[key] = cid
-                comp_edges[cid] = comp_edges.get(cid, 0) + 1
-                comp_vertices.setdefault(cid, set()).update((head, tail))
-            by_comp = {}
-            for prev in prev_basis:
-                for v in range(n):
-                    shift = tuple(1 if k == v else 0 for k in range(n))
-                    row = {(mono_mul(mu, shift), i): c
-                           for (mu, i), c in prev.items()}
-                    cid = col_component[next(iter(row))]
-                    by_comp.setdefault(cid, []).append(row)
-            for cid, comp_rows in by_comp.items():
-                cap = comp_edges[cid] - len(comp_vertices[cid]) + 1
-                if cap > 0:
-                    trivial_dim += row_rank(comp_rows, target=cap)
-        rows.append(GradedBettiRow(d, kernel_dim, trivial_dim,
-                                   kernel_dim - trivial_dim))
-        if d < max_degree:
-            prev_basis = graph.kernel_basis()
-    return rows
+        trivial_dim = graph.shifted_rank(variable_shifts(basis))
+        yield GradedBettiRow(d, graph.kernel_dim, trivial_dim,
+                             graph.kernel_dim - trivial_dim)
+        basis = graph.kernel_basis()
+
+
+def graded_betti_oracle(ideal):
+    """Exact minimal-generator counts of the first syzygy, one GradedBettiRow
+    for each degree 3..TOP_DEGREE."""
+    return list(islice(_graded_rows(ideal), TOP_DEGREE - 2))
 
 
 def kernel_dim(ideal, d):
@@ -232,12 +244,12 @@ def kernel_basis(ideal, d):
     return _DegreeGraph(ideal, d).kernel_basis()
 
 
-def first_betti_oracle(ideal, max_degree=4):
-    """Total number of minimal first-syzygy generators up to max_degree."""
-    return sum(r.minimal_generators for r in graded_betti_oracle(ideal, max_degree))
+def first_betti_oracle(ideal):
+    """Total number of minimal first-syzygy generators."""
+    return sum(r.minimal_generators for r in graded_betti_oracle(ideal))
 
 
-def is_linear_first_syzygy(ideal, max_degree=6):
+def is_linear_first_syzygy(ideal):
     """True iff the first syzygy needs no minimal generator beyond degree 3."""
-    rows = graded_betti_oracle(ideal, max_degree)
-    return all(r.minimal_generators == 0 for r in rows if r.degree >= 4)
+    return all(r.minimal_generators == 0
+               for r in graded_betti_oracle(ideal) if r.degree > 3)

@@ -62,27 +62,11 @@ def apply_phi(vec, ideal):
     return total
 
 
-def render_vec(vec, ideal):
-    parts = []
-    for i in sorted(vec):
-        a, b = ideal.relations[i].pair
-        parts.append(f"({ideal.render(vec[i])})*e[{a},{b}]")
-    return " + ".join(parts) if parts else "0"
-
-
 # -- Schreyer order ----------------------------------------------------------
 
 
-class SchreyerOrder:
-    """Order on module terms m*e_i: compare in(m*g_i) in the ring order, and
-    break ties by preferring the smaller generator index."""
-
-    def __init__(self, ideal):
-        self.ring_order = ideal.order
-        self.leads = [r.poly.leading_monomial(ideal.order) for r in ideal.relations]
-
-    def term_key(self, mono, i):
-        return (self.ring_order.key(mono_mul(mono, self.leads[i])), -i)
+class _ModuleOrder:
+    """A total order on module terms m*e_i given by a sort key term_key."""
 
     def leading_term(self, vec):
         """(mono, index, coeff) of the largest module term, or None for 0."""
@@ -95,7 +79,19 @@ class SchreyerOrder:
         return None if best is None else best[1:]
 
 
-class PositionOrder:
+class SchreyerOrder(_ModuleOrder):
+    """Order on module terms m*e_i: compare in(m*g_i) in the ring order, and
+    break ties by preferring the smaller generator index."""
+
+    def __init__(self, ideal):
+        self.ring_order = ideal.order
+        self.leads = [r.poly.leading_monomial(ideal.order) for r in ideal.relations]
+
+    def term_key(self, mono, i):
+        return (self.ring_order.key(mono_mul(mono, self.leads[i])), -i)
+
+
+class PositionOrder(_ModuleOrder):
     """Position-over-term order on module terms, later basis vectors first;
     ties within a component broken by the ring order.  Under this order both
     strip generators of a shared diamond lead on their common third component,
@@ -106,15 +102,6 @@ class PositionOrder:
 
     def term_key(self, mono, i):
         return (i, self.ring_order.key(mono))
-
-    def leading_term(self, vec):
-        best = None
-        for i, p in vec.items():
-            for m, c in p.coeffs.items():
-                k = self.term_key(m, i)
-                if best is None or k > best[0]:
-                    best = (k, m, i, c)
-        return None if best is None else best[1:]
 
 
 def schreyer_cmp(sorder, t1, t2):

@@ -136,7 +136,7 @@ def test_betti_formula_needs_planar(capsys, lattice_file):
 
 def test_betti_oracle_handles_non_planar(capsys, lattice_file):
     code, out, _ = run(capsys, "betti", "--file", lattice_file(CUBE),
-                       "--mode", "oracle", "--max-degree", "4")
+                       "--mode", "oracle")
     assert code == 0
     assert "degree 3: 16" in out
 
@@ -150,8 +150,7 @@ def test_betti_json_round_trip(capsys):
     assert doc["formula"]["total"] == doc["oracle"]["total"] == 16
 
 
-def test_betti_max_degree_env(capsys, monkeypatch):
-    monkeypatch.setenv("HIBI_MAX_DEGREE", "4")
+def test_betti_by_degree_keys(capsys):
     code, out, _ = run(capsys, "betti", "--grid", "1", "2",
                        "--mode", "oracle", "--format", "json")
     assert code == 0
@@ -194,12 +193,21 @@ def test_census_cap(capsys):
     assert code == 1
 
 
-def test_threads_validation(capsys):
-    code, _, err = run(capsys, "betti", "--grid", "1", "1", "--threads", "0")
-    assert code == 1
-
-
 def test_deterministic_output(capsys):
     a = run(capsys, "syzygy", "--grid", "2", "2")
-    b = run(capsys, "syzygy", "--grid", "2", "2", "--threads", "4")
+    b = run(capsys, "syzygy", "--grid", "2", "2")
     assert a[1] == b[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "--grid", "1"],
+    ["betti", "--grid", "1", "1", "--max-degree", "4"],
+    ["betti", "--grid", "1", "1", "--threads", "2"],
+    ["syzygy", "--grid", "2", "3", "--field", "fp:101"],
+])
+def test_usage_error_is_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert "usage:" in out.err and "151" not in out.out

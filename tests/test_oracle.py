@@ -1,16 +1,16 @@
 from collections import defaultdict
 from fractions import Fraction
+from itertools import islice
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain
+from conftest import chain, overlapping_grids
 from hibiring import enumerate_distributive, grid
-from hibiring.errors import DegreeTooSmall
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import (
     _edges,
+    _graded_rows,
     first_betti_oracle,
     graded_betti_oracle,
     is_linear_first_syzygy,
@@ -23,41 +23,44 @@ from hibiring.oracle import (
 CENSUS = list(enumerate_distributive(8))
 
 
-def test_degree_too_small():
-    with pytest.raises(DegreeTooSmall):
-        graded_betti_oracle(hibi_ideal(grid(1, 1)), 2)
-
-
 def test_chain_has_no_syzygies():
-    rows = graded_betti_oracle(hibi_ideal(chain(5)), 5)
+    rows = graded_betti_oracle(hibi_ideal(chain(5)))
     assert all(r.kernel_dim == 0 for r in rows)
     assert first_betti_oracle(hibi_ideal(chain(5))) == 0
 
 
 def test_single_diamond():
-    rows = graded_betti_oracle(hibi_ideal(grid(1, 1)), 5)
+    rows = graded_betti_oracle(hibi_ideal(grid(1, 1)))
     # one binomial generator: the presentation has no relations at all
     assert all(r.minimal_generators == 0 for r in rows)
 
 
 def test_small_grid_values():
-    rows = graded_betti_oracle(hibi_ideal(grid(1, 2)), 5)
-    assert [(r.degree, r.minimal_generators) for r in rows] == [
-        (3, 2), (4, 0), (5, 0)]
+    rows = graded_betti_oracle(hibi_ideal(grid(1, 2)))
+    assert [(r.degree, r.minimal_generators) for r in rows] == [(3, 2), (4, 0)]
     assert rows[1].kernel_dim == 12 and rows[1].trivial_dim == 12
 
 
 def test_worked_example_grid_2_3():
-    rows = graded_betti_oracle(hibi_ideal(grid(2, 3)), 6)
-    assert [(r.degree, r.minimal_generators) for r in rows] == [
-        (3, 52), (4, 0), (5, 0), (6, 0)]
+    rows = graded_betti_oracle(hibi_ideal(grid(2, 3)))
+    assert [(r.degree, r.minimal_generators) for r in rows] == [(3, 52), (4, 0)]
 
 
 def test_stacked_diamonds_degree_four(stacked_diamonds):
-    rows = graded_betti_oracle(hibi_ideal(stacked_diamonds), 5)
-    assert [(r.degree, r.minimal_generators) for r in rows] == [
-        (3, 0), (4, 1), (5, 0)]
+    rows = graded_betti_oracle(hibi_ideal(stacked_diamonds))
+    assert [(r.degree, r.minimal_generators) for r in rows] == [(3, 0), (4, 1)]
     assert not is_linear_first_syzygy(hibi_ideal(stacked_diamonds))
+
+
+def test_nothing_minimal_beyond_degree_four(stacked_diamonds):
+    """Witness of the degree bound stated in hibiring.oracle: walking the
+    per-degree step past it finds no minimal generator in degrees 5 and 6."""
+    lattices = [grid(2, 3), stacked_diamonds, overlapping_grids(3, 1, 2, 4)]
+    lattices += enumerate_distributive(9)
+    for L in lattices:
+        rows = list(islice(_graded_rows(hibi_ideal(L)), 4))
+        assert [(r.degree, r.minimal_generators) for r in rows[2:]] == [
+            (5, 0), (6, 0)]
 
 
 def test_grids_are_linear():
@@ -136,6 +139,6 @@ def test_row_rank_matches_dense_elimination(matrix):
 
 def test_census_trivial_dim_never_exceeds_kernel():
     for L in CENSUS:
-        for r in graded_betti_oracle(hibi_ideal(L), 4):
+        for r in graded_betti_oracle(hibi_ideal(L)):
             assert 0 <= r.trivial_dim <= r.kernel_dim
             assert r.minimal_generators == r.kernel_dim - r.trivial_dim
