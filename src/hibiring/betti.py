@@ -13,13 +13,14 @@ from math import comb
 from .errors import NotJMPair, NotPlanar, OracleMismatch, UnrecognizedShape
 from .ideal import hibi_ideal
 from .oracle import (
+    GradedBetti,
     RowSpan,
     graded_betti_oracle,
     kernel_basis,
     module_vec_row,
     variable_shifts,
 )
-from .syzygy import all_typed_generators, diamond_reducible, typed_generator
+from .syzygy import FINE_KINDS, diamond_reducible, typed_generator
 
 # -- grid formulas -----------------------------------------------------------
 
@@ -154,8 +155,8 @@ def n_diamond_planar(L, ideal=None):
 
     Candidates are the element-disjoint diamond pairs whose diamond element is
     not a combination of shared-element types; their count is the rank these
-    elements add on top of the non-minimal degree-4 syzygies.  The result is
-    cross-checked against the oracle's degree-4 minimal-generator count.
+    elements add on top of the non-minimal degree-4 syzygies.  planar_betti
+    checks the result against the oracle's degree-4 minimal-generator count.
     """
     _require_planar(L)
     if ideal is None:
@@ -173,13 +174,7 @@ def n_diamond_planar(L, ideal=None):
     trivial = span.rank
     for t in candidates:
         span.add(module_vec_row(t.element))
-    count = span.rank - trivial
-    oracle_deg4 = graded_betti_oracle(ideal)[-1].minimal_generators
-    if count != oracle_deg4:
-        raise OracleMismatch(
-            f"diamond count {count} disagrees with oracle degree-4 count "
-            f"{oracle_deg4}", breakdown={"diamond": count, "oracle": oracle_deg4})
-    return count
+    return span.rank - trivial
 
 
 @dataclass(frozen=True)
@@ -188,31 +183,37 @@ class PlanarBettiBreakdown:
     nL: int
     nB: int
     nD: int
+    oracle: GradedBetti
 
     @property
     def total(self):
         return self.nS + self.nL + self.nB + self.nD
 
 
-def planar_betti(L, check_oracle=True):
+def planar_betti(L):
     """First Betti number breakdown of a planar lattice by generator type.
 
-    With check_oracle, the total is verified against the exact linear-algebra
-    oracle (degrees 3 and 4); disagreement raises OracleMismatch with the full
-    breakdown rather than being reconciled silently.
+    Always checked against one run of the exact oracle (degrees 3 and 4),
+    whose rows the breakdown carries as oracle: a disagreement of the diamond
+    count with degree 4, then of the total, raises OracleMismatch with the
+    numbers rather than being reconciled silently.
     """
     _require_planar(L)
     ideal = hibi_ideal(L)
+    nD = n_diamond_planar(L, ideal)
+    oracle = graded_betti_oracle(ideal)
+    oracle_deg4 = oracle[-1].minimal_generators
+    if nD != oracle_deg4:
+        raise OracleMismatch(
+            f"diamond count {nD} disagrees with oracle degree-4 count "
+            f"{oracle_deg4}", breakdown={"diamond": nD, "oracle": oracle_deg4})
     breakdown = PlanarBettiBreakdown(n_strip_planar(L), n_l_planar(L),
-                                     n_box_planar(L), n_diamond_planar(L, ideal))
-    if check_oracle:
-        oracle_total = sum(r.minimal_generators
-                           for r in graded_betti_oracle(ideal))
-        if breakdown.total != oracle_total:
-            raise OracleMismatch(
-                f"formula total {breakdown.total} disagrees with oracle "
-                f"{oracle_total}",
-                breakdown={"formula": breakdown, "oracle": oracle_total})
+                                     n_box_planar(L), nD, oracle)
+    if breakdown.total != oracle.total:
+        raise OracleMismatch(
+            f"formula total {breakdown.total} disagrees with oracle "
+            f"{oracle.total}",
+            breakdown={"formula": breakdown, "oracle": oracle.total})
     return breakdown
 
 
@@ -222,20 +223,18 @@ def planar_betti(L, check_oracle=True):
 _COARSE_OF = {"S1": "strip", "S2": "strip", "L": "L", "B1": "box", "B2": "box",
               "G1": "G", "G2": "G", "G3": "G", "G4": "G", "G5": "G", "G6": "G",
               "G": "G", "D": "diamond"}
-_KIND_PRIORITY = {k: i for i, k in enumerate(
-    ("S1", "S2", "L", "B1", "B2", "G1", "G2", "G3", "G4", "G5", "G6", "G", "D"))}
+_KIND_PRIORITY = {k: i for i, k in enumerate(FINE_KINDS)}
 
 
-def typed_minimal_histogram(ideal):
-    """Greedy minimal generating set drawn from the typed generators.
+def typed_minimal_histogram(ideal, gens):
+    """Greedy minimal generating set drawn from gens, the typed generators.
 
     Degree-3 elements are admitted in kind order strip, L, box, G, each one
     kept only if it enlarges the span; degree-4 elements count only the rank
     they add beyond the variable shifts of the degree-3 kernel.  Returns the
     per-kind counts of the kept generators.
     """
-    gens = sorted(all_typed_generators(ideal),
-                  key=lambda t: (_KIND_PRIORITY[t.kind], t.witness))
+    gens = sorted(gens, key=lambda t: (_KIND_PRIORITY[t.kind], t.witness))
     hist = {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 0}
     deg3 = RowSpan()
     deg4 = RowSpan(variable_shifts(kernel_basis(ideal, 3)))

@@ -19,6 +19,10 @@ from .betti import (
     grid_betti,
     k_of,
     linearity_by_k,
+    n_box_planar,
+    n_diamond_planar,
+    n_l_planar,
+    n_strip_planar,
     planar_betti,
     typed_minimal_histogram,
 )
@@ -156,7 +160,7 @@ def cmd_syzygy(args):
                 print(f"typed generator {t.kind} at {t.witness} is not a "
                       f"syzygy", file=sys.stderr)
                 return EXIT_MISMATCH
-    hist = typed_minimal_histogram(ideal)
+    hist = typed_minimal_histogram(ideal, gens)
     listing = [{"kind": t.kind,
                 "witness": [L.labels[v] for v in t.witness]} for t in gens]
     report = {"generators": listing, "minimal_histogram": hist,
@@ -178,41 +182,37 @@ def cmd_betti(args):
     L = _load_lattice(args)
     report = {"mode": args.mode}
     lines = []
-    formula_total = None
-    oracle_total = None
     if args.mode in ("formula", "both"):
         if args.grid is not None:
             b = grid_betti(*args.grid)
             breakdown = {"strip": b.strip, "L": b.l, "box": b.box,
                          "diamond": 0}
-            formula_total = b.total
         else:
-            pb = planar_betti(L, check_oracle=False)
-            breakdown = {"strip": pb.nS, "L": pb.nL, "box": pb.nB,
-                         "diamond": pb.nD}
-            formula_total = pb.total
+            breakdown = {"strip": n_strip_planar(L), "L": n_l_planar(L),
+                         "box": n_box_planar(L),
+                         "diamond": n_diamond_planar(L)}
+        formula_total = sum(breakdown.values())
         report["formula"] = {"breakdown": breakdown, "total": formula_total}
         lines.append("formula: "
                      + " + ".join(str(v) for v in breakdown.values())
                      + f" = {formula_total}")
     if args.mode in ("oracle", "both"):
         rows = graded_betti_oracle(hibi_ideal(L))
-        oracle_total = sum(r.minimal_generators for r in rows)
         report["oracle"] = {
-            "total": oracle_total,
+            "total": rows.total,
             "by_degree": {r.degree: r.minimal_generators for r in rows}}
         lines.append("oracle: " + ", ".join(
             f"degree {r.degree}: {r.minimal_generators}" for r in rows)
-            + f" (total {oracle_total})")
+            + f" (total {rows.total})")
     if args.mode == "both":
-        if formula_total != oracle_total:
+        if formula_total != rows.total:
             report["agreement"] = False
             _emit(args, report, lines
                   + [f"MISMATCH: formula {formula_total} != oracle "
-                     f"{oracle_total}"])
+                     f"{rows.total}"])
             return EXIT_MISMATCH
         report["agreement"] = True
-        lines.append(f"{formula_total} = {oracle_total}")
+        lines.append(f"{formula_total} = {rows.total}")
     _emit(args, report, lines)
     return EXIT_OK
 
@@ -253,21 +253,24 @@ def cmd_census(args):
         examined += 1
         ideal = hibi_ideal(L)
         row = {"elements": L.n, "planar": L.is_planar(), "k": k_of(L)}
+        oracle = None  # planar_betti's rows, reused by the linearity check
         try:
             if "gb" in checks:
                 buchberger_check(ideal)
                 row["gb"] = "pass"
             if "betti" in checks:
                 if L.is_planar():
-                    row["betti"] = planar_betti(L).total
+                    pb = planar_betti(L)
+                    row["betti"], oracle = pb.total, pb.oracle
                 else:
                     row["betti"] = "skipped (not planar)"
             if "linearity" in checks:
                 if L.is_planar():
                     try:
                         v = linearity_by_k(L)
-                        agree = ((v.verdict == "linear")
-                                 == is_linear_first_syzygy(ideal))
+                        linear = (is_linear_first_syzygy(ideal)
+                                  if oracle is None else oracle.linear)
+                        agree = (v.verdict == "linear") == linear
                     except UnrecognizedShape:
                         agree = True  # the oracle alone decides
                     row["linearity"] = "pass" if agree else "FAIL"

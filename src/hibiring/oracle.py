@@ -45,6 +45,19 @@ class GradedBettiRow:
     minimal_generators: int
 
 
+class GradedBetti(tuple):
+    """GradedBettiRows of degrees 3..TOP_DEGREE; total counts the minimal
+    first-syzygy generators, linear holds iff none lies beyond degree 3."""
+
+    @property
+    def total(self):
+        return sum(r.minimal_generators for r in self)
+
+    @property
+    def linear(self):
+        return all(r.minimal_generators == 0 for r in self if r.degree > 3)
+
+
 def _edges(ideal, d):
     """All degree-d columns as (column_key, head_monomial, tail_monomial)."""
     n = ideal.lattice.n
@@ -233,7 +246,7 @@ def _graded_rows(ideal):
 def graded_betti_oracle(ideal):
     """Exact minimal-generator counts of the first syzygy, one GradedBettiRow
     for each degree 3..TOP_DEGREE."""
-    return list(islice(_graded_rows(ideal), TOP_DEGREE - 2))
+    return GradedBetti(islice(_graded_rows(ideal), TOP_DEGREE - 2))
 
 
 def kernel_dim(ideal, d):
@@ -246,10 +259,9 @@ def kernel_basis(ideal, d):
 
 def first_betti_oracle(ideal):
     """Total number of minimal first-syzygy generators."""
-    return sum(r.minimal_generators for r in graded_betti_oracle(ideal))
+    return graded_betti_oracle(ideal).total
 
 
 def is_linear_first_syzygy(ideal):
     """True iff the first syzygy needs no minimal generator beyond degree 3."""
-    return all(r.minimal_generators == 0
-               for r in graded_betti_oracle(ideal) if r.degree > 3)
+    return graded_betti_oracle(ideal).linear

@@ -190,8 +190,6 @@ def schreyer_pair(i, j, ideal):
 # -- pair classification -------------------------------------------------------
 
 
-COARSE_KINDS = ("strip", "L", "box", "G1", "G2", "G3", "G4", "G5", "G6", "G", "D")
-
 # relation profile bits (r1, r2, r3, r4) for a shared-element pair with
 # incomparable b1, b2: r1 = b1 <= a|b2, r2 = b1 >= a&b2, r3 = b2 <= a|b1,
 # r4 = b2 >= a&b1; True means the comparison holds, False means incomparable.
@@ -277,6 +275,10 @@ _FAMILY_TO_FINE = {"strip": ("S1", "S2"), "L": ("L",), "box": ("B1", "B2"),
                    "G1": ("G1",), "G2": ("G2",), "G3": ("G3",), "G4": ("G4",),
                    "G5": ("G5",), "G6": ("G6",), "G": ("G",), "D": ("D",)}
 
+# the relation profile each incomparable-side kind (B1, B2, G1..G6, G) requires
+_PROFILE_OF_FINE = {fine: bits for bits, family in _INCOMPARABLE_TABLE.items()
+                    for fine in _FAMILY_TO_FINE.get(family, ())}
+
 
 def _require(cond, name):
     if not cond:
@@ -306,14 +308,9 @@ def _check_conditions(L, kind, witness):
         _require(m[a][b1] != m[a][b2], "meets differ")
         return
     _require(L.incomparable(b1, b2), "b1 incomparable to b2")
-    r1, r2, r3, r4 = _cross_relations(L, a, b1, b2)
-    want = {"B1": (True, True, False, False), "B2": (True, True, False, False),
-            "G1": (False, True, False, True), "G2": (True, False, True, False),
-            "G3": (True, False, False, False), "G4": (False, True, False, False),
-            "G5": (False, False, False, True), "G6": (False, False, True, False),
-            "G": (False, False, False, False)}[kind]
     names = ("b1 vs a|b2", "b1 vs a&b2", "b2 vs a|b1", "b2 vs a&b1")
-    for got, expect, name in zip((r1, r2, r3, r4), want, names):
+    for got, expect, name in zip(_cross_relations(L, a, b1, b2),
+                                 _PROFILE_OF_FINE[kind], names):
         _require(got == expect, f"{name} relation ({'comparable' if expect else 'incomparable'} expected)")
 
 

@@ -1,5 +1,7 @@
 """Shared fixture lattices used across the test suites."""
 
+import sys
+
 import pytest
 
 from hibiring import from_covers, from_points
@@ -30,6 +32,17 @@ def bridged_diamonds():
               (10, 12), (11, 13), (12, 13)]
     return from_covers([str(i + 1) for i in range(13)],
                        [(a - 1, b - 1) for a, b in covers])
+
+
+@pytest.fixture(scope="session")
+def diamond_counterexample():
+    """Ten elements, labels "0".."9": a planar lattice on which the
+    closed-form diamond count (2) falls short of the oracle's degree-4 count
+    (3).  Two of its comparable disjoint diamond pairs have a bridging
+    diamond, so the bridge criterion drops them, yet they still add rank."""
+    covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (3, 6), (4, 5),
+              (5, 7), (5, 8), (6, 7), (7, 9), (8, 9)]
+    return from_covers([str(i) for i in range(10)], covers)
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +85,25 @@ def boolean_cube():
                 q[k] = 1
                 covers.append((idx[p], idx[tuple(q)]))
     return from_covers(["".join(map(str, p)) for p in pts], covers)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps the function module.name in a counter,
+    rebound under every name a hibiring module binds the function to, and
+    returns the list of argument tuples its calls append to."""
+    def install(module, name):
+        fn = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        for modname, mod in list(sys.modules.items()):
+            if modname.partition(".")[0] != "hibiring":
+                continue
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+        return calls
+    return install

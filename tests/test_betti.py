@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, overlapping_grids
-from hibiring import enumerate_distributive, grid
+from hibiring import enumerate_distributive, grid, oracle
 from hibiring.betti import (
     box_grid,
     grid_betti,
@@ -29,6 +29,7 @@ from hibiring.errors import (
 )
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import first_betti_oracle, is_linear_first_syzygy
+from hibiring.syzygy import all_typed_generators
 
 PLANAR_CENSUS = [L for L in enumerate_distributive(8) if L.is_planar()]
 
@@ -123,6 +124,16 @@ def test_stacked_diamonds_betti(stacked_diamonds):
     assert (b.nS, b.nL, b.nB, b.nD) == (0, 0, 0, 1)
 
 
+def test_planar_betti_runs_the_oracle_once(stacked_diamonds, count_calls):
+    calls = count_calls(oracle, "graded_betti_oracle")
+    b = planar_betti(stacked_diamonds)
+    assert len(calls) == 1
+    assert [(r.degree, r.minimal_generators) for r in b.oracle] == [
+        (3, 0), (4, 1)]
+    assert b.oracle.total == b.total == 1
+    assert not b.oracle.linear
+
+
 def test_overlapping_grids_betti():
     for dims in [(2, 1, 1, 2), (3, 1, 1, 3), (3, 1, 2, 3)]:
         L = overlapping_grids(*dims)
@@ -146,22 +157,39 @@ def test_cross_grid_l_type_reported_not_patched(bridged_diamonds):
     assert exc.value.breakdown["formula"].total == 34
     # the typed classification itself is complete: its greedy minimal set
     # reaches the oracle count, with the extra element of L type
-    hist = typed_minimal_histogram(hibi_ideal(bridged_diamonds))
+    I = hibi_ideal(bridged_diamonds)
+    hist = typed_minimal_histogram(I, all_typed_generators(I))
     assert hist == {"strip": 24, "L": 9, "box": 2, "G": 0, "diamond": 0}
+
+
+def test_diamond_count_counterexample_reported(diamond_counterexample):
+    """On the 10-element lattice the bridge criterion drops diamond pairs
+    that still add rank, so the diamond count is 2 against the oracle's 3.
+    The typed generating set is complete all the same: its greedy minimal
+    set reaches the oracle's 11."""
+    with pytest.raises(OracleMismatch) as exc:
+        planar_betti(diamond_counterexample)
+    assert exc.value.breakdown == {"diamond": 2, "oracle": 3}
+    I = hibi_ideal(diamond_counterexample)
+    hist = typed_minimal_histogram(I, all_typed_generators(I))
+    assert hist == {"strip": 6, "L": 2, "box": 0, "G": 0, "diamond": 3}
+    assert sum(hist.values()) == first_betti_oracle(I) == 11
 
 
 # -- minimal histograms --------------------------------------------------------
 
 
 def test_minimal_histogram_worked_example():
-    assert typed_minimal_histogram(hibi_ideal(grid(2, 3))) == {
+    I = hibi_ideal(grid(2, 3))
+    assert typed_minimal_histogram(I, all_typed_generators(I)) == {
         "strip": 36, "L": 8, "box": 8, "G": 0, "diamond": 0}
 
 
 def test_minimal_histogram_totals_match_oracle():
     for L in PLANAR_CENSUS:
         I = hibi_ideal(L)
-        assert sum(typed_minimal_histogram(I).values()) == first_betti_oracle(I)
+        hist = typed_minimal_histogram(I, all_typed_generators(I))
+        assert sum(hist.values()) == first_betti_oracle(I)
 
 
 # -- linearity -----------------------------------------------------------------

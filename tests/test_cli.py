@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hibiring import enumerate_distributive, oracle, syzygy
 from hibiring.cli import main
 
 
@@ -170,6 +171,49 @@ def test_linearity_verdicts(capsys, lattice_file):
                        "--verify")
     assert code == 0
     assert "verdict: nonlinear" in out
+
+
+@pytest.mark.parametrize("fixture, by_degree", [
+    ("diamond_counterexample", {"3": 8, "4": 3}),
+    ("bridged_diamonds", {"3": 35, "4": 0}),
+])
+def test_betti_file_disagreement_reported(capsys, lattice_file, count_calls,
+                                          request, fixture, by_degree):
+    """The two pinned counterexamples: --mode both reports the disagreement
+    as agreement false with exit 2, --mode formula prints the closed-form
+    breakdown without running the graded oracle."""
+    L = request.getfixturevalue(fixture)
+    path = lattice_file({"elements": list(L.labels),
+                         "covers": [list(c) for c in L.covers]})
+    code, out, _ = run(capsys, "betti", "--file", path, "--mode", "both",
+                       "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["agreement"] is False
+    assert doc["oracle"]["by_degree"] == by_degree
+    assert doc["formula"]["total"] != doc["oracle"]["total"]
+    calls = count_calls(oracle, "graded_betti_oracle")
+    code, out, _ = run(capsys, "betti", "--file", path, "--mode", "formula")
+    assert code == 0
+    assert out.startswith("formula: ")
+    assert calls == []
+
+
+def test_syzygy_builds_typed_generators_once(capsys, count_calls):
+    calls = count_calls(syzygy, "all_typed_generators")
+    code, out, _ = run(capsys, "syzygy", "--grid", "2", "3")
+    assert code == 0
+    assert "total minimal generators: 52" in out
+    assert len(calls) == 1
+
+
+def test_census_runs_the_oracle_once_per_planar_lattice(capsys, count_calls):
+    planar = sum(1 for L in enumerate_distributive(7)
+                 if L.n > 1 and L.is_planar())
+    calls = count_calls(oracle, "graded_betti_oracle")
+    code, _, _ = run(capsys, "census", "--max-elements", "7")
+    assert code == 0
+    assert len(calls) == planar
 
 
 def test_census_four_elements(capsys):
