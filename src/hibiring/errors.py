@@ -61,6 +61,16 @@ class NotPlanar(HibiError):
     pass
 
 
+class NotASyzygy(HibiError):
+    """A typed generator fails phi = 0; carries its kind and witness."""
+
+    def __init__(self, kind, witness, labels):
+        self.kind = kind
+        self.witness = witness
+        super().__init__(f"{kind} element on witness ({', '.join(labels)}) "
+                         "is not a syzygy")
+
+
 class OracleMismatch(HibiError):
     """Closed-form count disagrees with the linear-algebra oracle."""
 

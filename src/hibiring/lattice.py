@@ -238,7 +238,7 @@ def from_points(pts):
 
 # -- census of small distributive lattices --------------------------------
 
-ENUMERATION_CAP = 10
+ENUMERATION_CAP = 12
 
 
 def _ideals(down):

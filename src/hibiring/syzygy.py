@@ -13,7 +13,12 @@ a pair of diamonds falls into from its relation profile.
 
 from dataclasses import dataclass
 
-from .errors import ConditionViolated, HibiError, InconsistentProfile
+from .errors import (
+    ConditionViolated,
+    HibiError,
+    InconsistentProfile,
+    NotASyzygy,
+)
 from .polynomials import (
     Polynomial,
     divide,
@@ -318,7 +323,7 @@ def typed_generator(ideal, kind, witness):
     """The named first-syzygy element of the given kind on the given witness.
 
     Raises ConditionViolated when the witness fails the kind's defining
-    relations; the result always satisfies phi = 0.
+    relations, and NotASyzygy when the result fails phi = 0.
     """
     L = ideal.lattice
     if kind not in FINE_KINDS:
@@ -420,8 +425,7 @@ def typed_generator(ideal, kind, witness):
                           eps(j(b1, m(a, b2)), j(a, b2), var(mm), -1),
                           eps(j(b2, m(a, b1)), j(a, b1), var(mm), 1))
     if not apply_phi(vec, ideal).is_zero():
-        raise HibiError(f"internal error: {kind} element on witness {witness} "
-                        "is not a syzygy")
+        raise NotASyzygy(kind, witness, [L.labels[v] for v in witness])
     return TypedSyzygy(kind, vec, witness)
 
 

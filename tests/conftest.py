@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hibiring import from_covers, from_points
+from hibiring import enumerate_distributive, from_covers, from_points
 
 
 def chain(k):
@@ -43,6 +43,13 @@ def diamond_counterexample():
     covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (3, 6), (4, 5),
               (5, 7), (5, 8), (6, 7), (7, 9), (8, 9)]
     return from_covers([str(i) for i in range(10)], covers)
+
+
+@pytest.fixture(scope="session")
+def census_to_twelve():
+    """Every distributive lattice with at most 12 elements, one per
+    isomorphism class, smallest first."""
+    return list(enumerate_distributive(12))
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,11 @@ from hibiring.errors import (
     UnrecognizedShape,
 )
 from hibiring.ideal import hibi_ideal
-from hibiring.oracle import first_betti_oracle, is_linear_first_syzygy
+from hibiring.oracle import (
+    first_betti_oracle,
+    graded_betti_oracle,
+    is_linear_first_syzygy,
+)
 from hibiring.syzygy import all_typed_generators
 
 PLANAR_CENSUS = [L for L in enumerate_distributive(8) if L.is_planar()]
@@ -126,12 +130,30 @@ def test_stacked_diamonds_betti(stacked_diamonds):
 
 def test_planar_betti_runs_the_oracle_once(stacked_diamonds, count_calls):
     calls = count_calls(oracle, "graded_betti_oracle")
+    kernel_calls = count_calls(oracle, "kernel_basis")
     b = planar_betti(stacked_diamonds)
     assert len(calls) == 1
+    assert kernel_calls == []  # the diamond count is a count, not a rank
     assert [(r.degree, r.minimal_generators) for r in b.oracle] == [
         (3, 0), (4, 1)]
     assert b.oracle.total == b.total == 1
     assert not b.oracle.linear
+
+
+def test_diamond_count_against_oracle_to_twelve(census_to_twelve):
+    """On every planar lattice of 2-12 elements the diamond count is at most
+    the oracle's degree-4 count, and falls short only on the ten lattices
+    where the bridge criterion drops a pair that still adds rank."""
+    short = {}
+    for L in census_to_twelve:
+        if L.n < 2 or not L.is_planar():
+            continue
+        nD = n_diamond_planar(L)
+        degree4 = graded_betti_oracle(hibi_ideal(L))[-1].minimal_generators
+        assert nD <= degree4
+        if nD < degree4:
+            short[L.n] = short.get(L.n, 0) + 1
+    assert short == {10: 1, 11: 2, 12: 7}
 
 
 def test_overlapping_grids_betti():

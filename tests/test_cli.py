@@ -1,9 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from hibiring import enumerate_distributive, oracle, syzygy
+from hibiring import enumerate_distributive, ideal, oracle, syzygy
 from hibiring.cli import main
+from hibiring.polynomials import Polynomial
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -181,7 +186,7 @@ def test_betti_file_disagreement_reported(capsys, lattice_file, count_calls,
                                           request, fixture, by_degree):
     """The two pinned counterexamples: --mode both reports the disagreement
     as agreement false with exit 2, --mode formula prints the closed-form
-    breakdown without running the graded oracle."""
+    breakdown without building the ideal or running the graded oracle."""
     L = request.getfixturevalue(fixture)
     path = lattice_file({"elements": list(L.labels),
                          "covers": [list(c) for c in L.covers]})
@@ -193,10 +198,11 @@ def test_betti_file_disagreement_reported(capsys, lattice_file, count_calls,
     assert doc["oracle"]["by_degree"] == by_degree
     assert doc["formula"]["total"] != doc["oracle"]["total"]
     calls = count_calls(oracle, "graded_betti_oracle")
+    ideal_calls = count_calls(ideal, "hibi_ideal")
     code, out, _ = run(capsys, "betti", "--file", path, "--mode", "formula")
     assert code == 0
     assert out.startswith("formula: ")
-    assert calls == []
+    assert calls == [] and ideal_calls == []
 
 
 def test_syzygy_builds_typed_generators_once(capsys, count_calls):
@@ -205,6 +211,29 @@ def test_syzygy_builds_typed_generators_once(capsys, count_calls):
     assert code == 0
     assert "total minimal generators: 52" in out
     assert len(calls) == 1
+
+
+def test_syzygy_verify_applies_phi_once(capsys, count_calls):
+    """Each typed generator is checked against phi = 0 once, where it is
+    built; --verify reports that check instead of repeating it."""
+    calls = count_calls(syzygy, "apply_phi")
+    code, out, _ = run(capsys, "syzygy", "--grid", "2", "3", "--verify",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verified"] is True
+    assert len(calls) == len(doc["generators"]) == 197
+
+
+def test_syzygy_failed_phi_is_mismatch(capsys, monkeypatch):
+    def constant_one(vec, I):
+        n = I.lattice.n
+        return Polynomial.term(I.field, n, (0,) * n)
+    monkeypatch.setattr(syzygy, "apply_phi", constant_one)
+    code, out, err = run(capsys, "syzygy", "--grid", "1", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: S1 element on witness (2, 3, 5) is not a syzygy\n"
 
 
 def test_census_runs_the_oracle_once_per_planar_lattice(capsys, count_calls):
@@ -233,7 +262,7 @@ def test_census_gb_csv(capsys):
 
 
 def test_census_cap(capsys):
-    code, _, err = run(capsys, "census", "--max-elements", "11")
+    code, _, err = run(capsys, "census", "--max-elements", "13")
     assert code == 1
 
 
@@ -255,3 +284,15 @@ def test_usage_error_is_input_error(capsys, argv):
     assert exc.value.code == 1
     out = capsys.readouterr()
     assert "usage:" in out.err and "151" not in out.out
+
+
+def test_readme_cli_examples(capsys):
+    """Every `hibi ...` line of the README's CLI block runs and exits 0."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()
+                if line.startswith("hibi ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+        capsys.readouterr()

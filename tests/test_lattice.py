@@ -177,9 +177,18 @@ def test_census_small():
     assert [L.n for L in enumerate_distributive(4)] == [1, 2, 3, 4, 4]
 
 
+def test_census_sizes_to_twelve(census_to_twelve):
+    # OEIS A006982: distributive lattices with n unlabeled elements
+    by_size = {}
+    for L in census_to_twelve:
+        by_size[L.n] = by_size.get(L.n, 0) + 1
+    assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15,
+                       9: 26, 10: 47, 11: 82, 12: 151}
+
+
 def test_census_cap():
     with pytest.raises(CapExceeded):
-        list(enumerate_distributive(11))
+        list(enumerate_distributive(13))
 
 
 # -- property tests -----------------------------------------------------------
