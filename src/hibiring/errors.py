@@ -38,7 +38,12 @@ class ZeroInput(HibiError):
 
 
 class NotGroebner(HibiError):
-    """An S-polynomial failed to reduce to zero; carries the witness pair."""
+    """An S-polynomial failed to reduce to zero; carries the witness pair.
+
+    Only pairs whose leading monomials share a variable are reduced, so the
+    witness is the first such pair: a pair with coprime leads is settled by
+    Buchberger's first criterion and is never named.
+    """
 
     def __init__(self, pair):
         self.pair = pair

@@ -154,14 +154,19 @@ class RevLex:
 
 
 class Polynomial:
-    """Immutable polynomial: a monomial-to-coefficient map over a field."""
+    """Immutable polynomial: a monomial-to-coefficient map over a field.
 
-    __slots__ = ("field", "nvars", "coeffs")
+    The leading monomial is remembered for the last order it was asked for;
+    immutability keeps that memo valid.
+    """
+
+    __slots__ = ("field", "nvars", "coeffs", "_lead")
 
     def __init__(self, field, nvars, coeffs):
         self.field = field
         self.nvars = nvars
         self.coeffs = {m: c for m, c in coeffs.items() if c != field.zero}
+        self._lead = None  # (order, leading monomial)
 
     @classmethod
     def zero(cls, field, nvars):
@@ -222,9 +227,12 @@ class Polynomial:
         return len({mono_deg(m) for m in self.coeffs}) <= 1
 
     def leading_monomial(self, order):
+        if self._lead is not None and self._lead[0] == order:
+            return self._lead[1]
         if not self.coeffs:
             raise ZeroInput("zero polynomial has no leading monomial")
-        return order.max(self.coeffs)
+        self._lead = (order, order.max(self.coeffs))
+        return self._lead[1]
 
     def leading_term(self, order):
         m = self.leading_monomial(order)
@@ -275,22 +283,41 @@ def divide(f, divisors, order):
     divisor's leading monomial.  Deterministic: at each step the first divisor
     in the list whose leading monomial divides the current leading monomial is
     used.
+
+    Divisors are indexed by one variable of their lead, so a step tests only
+    those whose lead can divide the current monomial; each bucket is in list
+    order, and the smallest dividing index over the buckets is the first
+    divisor in the list.
     """
     fld = f.field
     nvars = f.nvars
-    quotients = [Polynomial.zero(fld, nvars) for _ in divisors]
+    quotients = [Polynomial.zero(fld, nvars)] * len(divisors)
     remainder = {}
     leads = [g.leading_term(order) for g in divisors]
+    constant = []  # divisors with a constant lead divide every monomial
+    by_var = {}
+    for i, (lm, _) in enumerate(leads):
+        if any(lm):
+            by_var.setdefault(lm.index(max(lm)), []).append(i)
+        else:
+            constant.append(i)
     work = f
     while not work.is_zero():
         m, c = work.leading_term(order)
-        for i, (lm, lc) in enumerate(leads):
-            q = mono_div(m, lm)
-            if q is not None:
-                t = Polynomial.term(fld, nvars, q, fld.div(c, lc))
-                quotients[i] = quotients[i] + t
-                work = work - t * divisors[i]
-                break
+        best = constant[0] if constant else len(leads)
+        for v, e in enumerate(m):
+            if e:
+                for i in by_var.get(v, ()):
+                    if i >= best:
+                        break
+                    if mono_div(m, leads[i][0]) is not None:
+                        best = i
+                        break
+        if best < len(leads):
+            lm, lc = leads[best]
+            t = Polynomial.term(fld, nvars, mono_div(m, lm), fld.div(c, lc))
+            quotients[best] = quotients[best] + t
+            work = work - t * divisors[best]
         else:
             remainder[m] = c
             work = work - Polynomial.term(fld, nvars, m, c)

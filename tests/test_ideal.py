@@ -25,7 +25,8 @@ def chain(k):
 def test_chain_empty_ideal():
     I = hibi_ideal(chain(4))
     assert len(I) == 0
-    assert buchberger_check(I).pairs_checked == 0
+    report = buchberger_check(I)
+    assert (report.pairs_checked, report.pairs_skipped) == (0, 0)
 
 
 def test_grid_1_2_generators():
@@ -78,9 +79,15 @@ def test_buchberger_census():
 
 
 def test_buchberger_grids():
-    for (m, n) in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-        report = buchberger_check(hibi_ideal(grid(m, n)))
+    # (checked, skipped): only pairs whose leads share a variable are reduced
+    pinned = {(3, 3): (176, 454), (4, 4): (900, 4050)}
+    for (m, n) in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)]:
+        I = hibi_ideal(grid(m, n))
+        report = buchberger_check(I)
         assert report.passed
+        assert report.pairs_checked + report.pairs_skipped == len(I) * (len(I) - 1) // 2
+        if (m, n) in pinned:
+            assert (report.pairs_checked, report.pairs_skipped) == pinned[(m, n)]
 
 
 def test_buchberger_failure_detected():
@@ -90,6 +97,19 @@ def test_buchberger_failure_detected():
     object.__setattr__(I.relations[0], "poly", bad)
     with pytest.raises(NotGroebner):
         buchberger_check(I)
+
+
+def test_buchberger_failure_with_changed_lead():
+    I = hibi_ideal(grid(1, 2))
+    x1 = Polynomial.variable(QQ, 6, 0)
+    bad = I.relations[0].poly + x1 * x1
+    assert bad.leading_monomial(I.order) == (2, 0, 0, 0, 0, 0)
+    object.__setattr__(I.relations[0], "poly", bad)
+    # x1^2 is coprime to both other leads, so the first criterion settles
+    # those pairs; the failure shows on the one pair whose leads share x5
+    with pytest.raises(NotGroebner) as info:
+        buchberger_check(I)
+    assert info.value.pair == ((1, 4), (3, 4))
 
 
 def test_reducedness():

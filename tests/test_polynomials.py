@@ -72,6 +72,14 @@ def test_revlex_rank_permutation():
     assert rev.greater(b, a)
 
 
+def test_leading_monomial_follows_order():
+    rev = RevLex(NV, rank=[3, 2, 1, 0])
+    f = P({(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
+    assert f.leading_monomial(ORDER) == (1, 1, 0, 0)
+    assert f.leading_monomial(rev) == (0, 0, 1, 1)
+    assert f.leading_monomial(ORDER) == (1, 1, 0, 0)
+
+
 def test_revlex_bad_rank():
     with pytest.raises(HibiError):
         RevLex(3, rank=[0, 0, 1])
@@ -151,6 +159,42 @@ def test_divide_exactness(f, gs):
     leads = [g.leading_monomial(ORDER) for g in gs]
     for m in r.coeffs:
         assert all(mono_div(m, lm) is None for lm in leads)
+
+
+def test_divide_first_divisor_wins():
+    # both leads divide x1*x2; they sit under different variables of the index
+    x1, x2 = P({(1, 0, 0, 0): 1}), P({(0, 1, 0, 0): 1})
+    f = x1 * x2
+    assert divide(f, [x1, x2], ORDER)[0] == [x2, P({})]
+    assert divide(f, [x2, x1], ORDER)[0] == [x1, P({})]
+
+
+def _divide_by_scan(f, divisors, order):
+    """Reference division: scan the whole divisor list at every step."""
+    quotients = [P({}) for _ in divisors]
+    remainder = P({})
+    work = f
+    while not work.is_zero():
+        m, c = work.leading_term(order)
+        for i, g in enumerate(divisors):
+            lm, lc = g.leading_term(order)
+            q = mono_div(m, lm)
+            if q is not None:
+                t = Polynomial.term(QQ, NV, q, c / lc)
+                quotients[i] = quotients[i] + t
+                work = work - t * g
+                break
+        else:
+            remainder = remainder + Polynomial.term(QQ, NV, m, c)
+            work = work - Polynomial.term(QQ, NV, m, c)
+    return quotients, remainder
+
+
+@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
+                         min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_divide_matches_full_scan(f, gs):
+    assert divide(f, gs, ORDER) == _divide_by_scan(f, gs, ORDER)
 
 
 def test_normal_form():
