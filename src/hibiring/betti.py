@@ -9,14 +9,16 @@ grid, which is what reduces planar counting to the grid formulas.
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .errors import NotJMPair, NotPlanar, OracleMismatch, UnrecognizedShape
 from .ideal import hibi_ideal
 from .oracle import (
     GradedBetti,
     RowSpan,
+    fiber_codes,
     graded_betti_oracle,
-    kernel_basis,
+    kernel_dim,
     module_vec_row,
     variable_shifts,
 )
@@ -219,19 +221,40 @@ def typed_minimal_histogram(ideal, gens):
     """Greedy minimal generating set drawn from gens, the typed generators.
 
     Degree-3 elements are admitted in kind order strip, L, box, G, each one
-    kept only if it enlarges the span; degree-4 elements count only the rank
-    they add beyond the variable shifts of the degree-3 kernel.  Returns the
+    kept only if it enlarges the span, and the kept ones must span the whole
+    degree-3 kernel (OracleMismatch otherwise).  Degree-4 elements count only
+    the rank they add beyond the variable shifts of the kept degree-3 rows.
+    Every row is multihomogeneous, so that span splits by fiber and only the
+    shifts in the fibers of degree-4 elements are eliminated.  Returns the
     per-kind counts of the kept generators.
     """
     gens = sorted(gens, key=lambda t: (_KIND_PRIORITY[t.kind], t.witness))
     hist = {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 0}
-    deg3 = RowSpan()
-    deg4 = RowSpan(variable_shifts(kernel_basis(ideal, 3)))
+    deg3, kept, deg4_rows = RowSpan(), [], []
     for t in gens:
-        degree = next(iter(t.element.values())).degree() + 2
-        span = deg3 if degree == 3 else deg4
-        if span.add(module_vec_row(t.element)):
+        row = module_vec_row(t.element)
+        if next(iter(t.element.values())).degree() + 2 == 4:
+            deg4_rows.append((t.kind, row))
+        elif deg3.add(row):
+            kept.append(row)
             hist[_COARSE_OF[t.kind]] += 1
+    kernel = kernel_dim(ideal, 3)
+    if deg3.rank != kernel:
+        raise OracleMismatch(
+            f"typed degree-3 rank {deg3.rank} disagrees with oracle kernel "
+            f"{kernel}", breakdown={"typed": deg3.rank, "oracle": kernel})
+    codes = fiber_codes(ideal.lattice, 4)
+
+    def fiber(row):
+        mu, i = next(iter(row))
+        return sum(map(mul, mu, codes)) + sum(
+            codes[v] for v in ideal.relations[i].pair)
+
+    targets = {fiber(row) for _, row in deg4_rows}
+    deg4 = RowSpan(r for r in variable_shifts(kept) if fiber(r) in targets)
+    for kind, row in deg4_rows:
+        if deg4.add(row):
+            hist[_COARSE_OF[kind]] += 1
     return hist
 
 

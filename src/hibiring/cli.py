@@ -275,6 +275,8 @@ def cmd_census(args):
         except (NotGroebner, OracleMismatch) as exc:
             row["error"] = str(exc)
             failures += 1
+        if "error" in row or row.get("linearity") == "FAIL":
+            row["lattice"] = L.to_json_dict()  # replayable with --file
         rows.append(row)
     report = {"rows": rows, "examined": examined, "failures": failures}
     lines = [f"{examined} lattices examined, {failures} failures"]

@@ -1,18 +1,31 @@
 """Independent graded Betti-number oracle for the first syzygy.
 
-In each total degree d the presentation map sends a column (mu, i) — a
-monomial mu of degree d-2 times the i-th binomial generator — to
-mu*lead_i - mu*tail_i.  Every column has exactly two nonzero entries, +1 and
--1, so the degree-d matrix is the signed incidence matrix of a graph whose
-vertices are degree-d monomials.  Its kernel is the cycle space:
+The Hibi ring R[L] = S/I is an affine semigroup ring: x_a maps to
+s * prod(t_j for each join-irreducible j <= a) (Hibi 1987), so the
+multidegree of x_a is (1, the indicator of the join-irreducibles below a).
+The degree-d monomials with one multidegree b form the fiber of b; R_d has
+one basis element per degree-d fiber.  By the fiber theorem for semigroup
+rings (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 9.2;
+Briales-Campillo-Marijuan-Pison, JPAA 124 (1998)) the minimal first
+syzygies of I in multidegree b number
 
-  kernel_dim = #edges - #vertices + #components,
+  beta_{1,b}(I) = dim H~_1(Delta_b),
 
-with an explicit basis of fundamental cycles (coefficients +-1) read off a
-spanning forest.  The minimal number of generators in degree d is the kernel
-dimension minus the dimension of the span of the degree-(d-1) kernel shifted
-by each variable; ranks are computed by fraction-free sparse elimination over
-the integers, so every number is exact and characteristic-free.
+where Delta_b is the simplicial complex on the variables generated by the
+supports of the monomials in the fiber of b.  H~_1 is the cycle space of the
+1-skeleton, #edges - #vertices + #components, less the rank of the boundary
+map from triangles to edges; that rank is taken by fraction-free integer
+elimination, so every count is exact (over the rationals).  A fiber with one
+support, or whose supports share a vertex, is a cone and contributes 0.
+
+The presentation F -> I sends the column (mu, i), a monomial mu of degree d-2
+times the i-th relation, to mu * relation_i.  In degree d it maps onto I_d,
+whose dimension is dim S_d - dim R_d, so by rank-nullity
+
+  kernel_dim = #relations * C(n+d-3, d-2) - (C(n+d-1, d) - #fibers),
+
+and the part of that kernel which is not minimal, the span of the variable
+multiples of lower-degree syzygies, has dimension kernel_dim - sum_b beta_{1,b}.
 
 Minimal first syzygies live in degrees 3 and 4 only.  The diamond relations
 are a quadratic Groebner basis (Hibi 1987; buchberger_check certifies it), so
@@ -24,17 +37,15 @@ the Taylor complex).  Hence beta_{1,j}(I) = 0 for j > 4, and the public
 functions report degrees 3..TOP_DEGREE only.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, count, islice
-from math import gcd
-
-from .polynomials import mono_mul
+from itertools import combinations, combinations_with_replacement
+from math import comb, gcd
 
 # The degree bound proved in the module docstring.
 TOP_DEGREE = 4
 
-# A row is a sparse vector over column keys (mu, i) with integer entries.
+# A row is a sparse vector over column keys with integer entries; for a
+# syzygy the keys are (mu, i).
 
 
 @dataclass(frozen=True)
@@ -56,112 +67,6 @@ class GradedBetti(tuple):
     @property
     def linear(self):
         return all(r.minimal_generators == 0 for r in self if r.degree > 3)
-
-
-def _edges(ideal, d):
-    """All degree-d columns as (column_key, head_monomial, tail_monomial)."""
-    n = ideal.lattice.n
-    order = ideal.order
-    pieces = []
-    for r in ideal.relations:
-        lead = r.poly.leading_monomial(order)
-        (tail,) = [m for m in r.poly.coeffs if m != lead]
-        pieces.append((r.index, lead, tail))
-    for combo in combinations_with_replacement(range(n), d - 2):
-        mu = [0] * n
-        for v in combo:
-            mu[v] += 1
-        mu = tuple(mu)
-        for i, lead, tail in pieces:
-            yield (mu, i), mono_mul(mu, lead), mono_mul(mu, tail)
-
-
-class _DegreeGraph:
-    """Spanning-forest decomposition of one degree's incidence graph."""
-
-    def __init__(self, ideal, d):
-        adj = {}
-        self.edges = []
-        for key, head, tail in _edges(ideal, d):
-            self.edges.append((key, head, tail))
-            adj.setdefault(head, []).append((key, tail, -1))
-            adj.setdefault(tail, []).append((key, head, 1))
-        # BFS forest: parent[v] = (edge_key, parent_vertex, sign), where sign
-        # is +1 when the edge is oriented parent -> v (v is the head).
-        self.parent = {}
-        self.depth = {}
-        self.component = {}
-        self.tree_edges = set()
-        self.n_components = 0
-        for root in adj:
-            if root in self.component:
-                continue
-            cid = self.n_components
-            self.n_components += 1
-            self.component[root] = cid
-            self.depth[root] = 0
-            queue = [root]
-            while queue:
-                nxt = []
-                for v in queue:
-                    for key, w, sign in adj[v]:
-                        if w in self.component:
-                            continue
-                        self.component[w] = cid
-                        self.depth[w] = self.depth[v] + 1
-                        self.parent[w] = (key, v, sign)
-                        self.tree_edges.add(key)
-                        nxt.append(w)
-                queue = nxt
-        self.kernel_dim = (len(self.edges) - len(self.component)
-                           + self.n_components)
-
-    def _walk_up(self, v, stop_depth, row, step_sign):
-        while self.depth[v] > stop_depth:
-            key, u, sign = self.parent[v]
-            row[key] = row.get(key, 0) + step_sign * sign
-            v = u
-        return v
-
-    def kernel_basis(self):
-        """Fundamental-cycle rows, one per non-tree edge; entries +-1."""
-        rows = []
-        for key, head, tail in self.edges:
-            if key in self.tree_edges:
-                continue
-            row = {key: 1}
-            h, t = head, tail
-            d = min(self.depth[h], self.depth[t])
-            # circulate: +1 along tail->head on the extra edge, then close the
-            # loop through the tree from head up to the LCA and down to tail.
-            # Walking up against a parent->child edge contributes -sign; the
-            # tail side is traversed downward in the cycle, so +sign.
-            h = self._walk_up(h, d, row, -1)
-            t = self._walk_up(t, d, row, 1)
-            while h != t:
-                kh, uh, sh = self.parent[h]
-                row[kh] = row.get(kh, 0) - sh
-                h = uh
-                kt, ut, st = self.parent[t]
-                row[kt] = row.get(kt, 0) + st
-                t = ut
-            rows.append({k: v for k, v in row.items() if v})
-        return rows
-
-    def shifted_rank(self, rows):
-        """Rank of rows supported on this degree's columns, eliminated one
-        component at a time and stopped once a component's cycle space is
-        full."""
-        col_component = {key: self.component[head]
-                         for key, head, _ in self.edges}
-        # a component's cycle space has dimension #edges - #vertices + 1
-        excess = Counter(col_component.values())
-        excess.subtract(self.component.values())
-        by_comp = {}
-        for row in rows:
-            by_comp.setdefault(col_component[next(iter(row))], []).append(row)
-        return sum(row_rank(comp_rows, target=excess[cid] + 1)
-                   for cid, comp_rows in by_comp.items())
 
 
 class RowSpan:
@@ -195,14 +100,9 @@ class RowSpan:
         return False
 
 
-def row_rank(rows, target=None):
-    """Rank of integer sparse rows; stops early once target is reached."""
-    span = RowSpan()
-    for row in rows:
-        span.add(row)
-        if target is not None and span.rank >= target:
-            break
-    return span.rank
+def row_rank(rows):
+    """Rank of integer sparse rows."""
+    return RowSpan(rows).rank
 
 
 def variable_shifts(basis):
@@ -231,30 +131,79 @@ def module_vec_row(vec):
     return row
 
 
-def _graded_rows(ideal):
-    """One GradedBettiRow per degree d = 3, 4, 5, ... without end.  The
-    degree-d kernel basis is built only when row d+1 is asked for."""
-    basis = []  # kernel basis one degree down; kernel in degree 2 is 0
-    for d in count(3):
-        graph = _DegreeGraph(ideal, d)
-        trivial_dim = graph.shifted_rank(variable_shifts(basis))
-        yield GradedBettiRow(d, graph.kernel_dim, trivial_dim,
-                             graph.kernel_dim - trivial_dim)
-        basis = graph.kernel_basis()
+# -- fibers --------------------------------------------------------------------
+
+
+def fiber_codes(lattice, d):
+    """The multidegree of each variable as one integer, for degree d.
+
+    Element a gets the sum of (d+1)**k over the k-th join-irreducible j <= a.
+    A degree-d monomial's fiber key is the sum of the codes of its variables,
+    with multiplicity; no join-irreducible is counted more than d times, so
+    the sum never carries and two degree-d monomials share a key exactly when
+    they share a fiber.
+    """
+    ji = sorted(lattice.join_irreducibles())
+    return [sum((d + 1) ** k for k, j in enumerate(ji) if lattice.le(j, a))
+            for a in range(lattice.n)]
+
+
+def _fibers(lattice, d):
+    """The degree-d fibers, each a list of monomials given as sorted tuples
+    of variables."""
+    codes = fiber_codes(lattice, d)
+    fibers = {}
+    for mono in combinations_with_replacement(range(lattice.n), d):
+        fibers.setdefault(sum(map(codes.__getitem__, mono)), []).append(mono)
+    return list(fibers.values())
+
+
+def reduced_h1(faces):
+    """dim H~_1, over the rationals, of the simplicial complex generated by
+    the given vertex sets."""
+    faces = set(map(frozenset, faces))
+    if frozenset.intersection(*faces):
+        return 0  # a cone is contractible
+    edges, triangles, components = set(), set(), []
+    for face in faces:
+        edges.update(combinations(sorted(face), 2))
+        triangles.update(combinations(sorted(face), 3))
+        touching = [c for c in components if not c.isdisjoint(face)]
+        components = [c for c in components if c.isdisjoint(face)]
+        components.append(face.union(*touching))
+    cycles = len(edges) - len(frozenset.union(*faces)) + len(components)
+    boundaries = RowSpan()
+    for u, v, w in triangles:
+        if boundaries.rank == cycles:
+            break
+        boundaries.add({(v, w): 1, (u, w): -1, (u, v): 1})
+    return cycles - boundaries.rank
+
+
+def _kernel_dim(ideal, d, n_fibers):
+    n = ideal.lattice.n
+    columns = len(ideal.relations) * comb(n + d - 3, d - 2)
+    return columns - (comb(n + d - 1, d) - n_fibers)
+
+
+def graded_betti_row(ideal, d):
+    """The GradedBettiRow of degree d, one H~_1 per degree-d fiber."""
+    fibers = _fibers(ideal.lattice, d)
+    minimal = sum(reduced_h1(f) for f in fibers if len(f) > 1)
+    kernel = _kernel_dim(ideal, d, len(fibers))
+    return GradedBettiRow(d, kernel, kernel - minimal, minimal)
+
+
+def kernel_dim(ideal, d):
+    """Dimension of the degree-d first syzygies, by rank-nullity."""
+    return _kernel_dim(ideal, d, len(_fibers(ideal.lattice, d)))
 
 
 def graded_betti_oracle(ideal):
     """Exact minimal-generator counts of the first syzygy, one GradedBettiRow
     for each degree 3..TOP_DEGREE."""
-    return GradedBetti(islice(_graded_rows(ideal), TOP_DEGREE - 2))
-
-
-def kernel_dim(ideal, d):
-    return _DegreeGraph(ideal, d).kernel_dim
-
-
-def kernel_basis(ideal, d):
-    return _DegreeGraph(ideal, d).kernel_basis()
+    return GradedBetti(graded_betti_row(ideal, d)
+                       for d in range(3, TOP_DEGREE + 1))
 
 
 def first_betti_oracle(ideal):

@@ -245,6 +245,22 @@ def test_census_runs_the_oracle_once_per_planar_lattice(capsys, count_calls):
     assert len(calls) == planar
 
 
+def test_census_failure_replays_with_file(capsys, lattice_file):
+    """The one failing row of census <= 10 carries its lattice, and --file
+    replays it to the same disagreement."""
+    code, out, _ = run(capsys, "census", "--max-elements", "10",
+                       "--format", "json")
+    assert code == 2
+    rows = json.loads(out)["rows"]
+    failing = [row for row in rows if "error" in row]
+    assert [row for row in rows if "lattice" in row] == failing
+    (row,) = failing
+    code, out, _ = run(capsys, "betti", "--file", lattice_file(row["lattice"]),
+                       "--format", "json")
+    assert code == 2
+    assert json.loads(out)["oracle"]["by_degree"] == {"3": 8, "4": 3}
+
+
 def test_census_four_elements(capsys):
     code, out, _ = run(capsys, "census", "--max-elements", "4")
     assert code == 0
