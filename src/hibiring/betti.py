@@ -7,9 +7,9 @@ both join- and meet-irreducible (JM), the interval [t1 & t2, t1 | t2] is a
 grid, which is what reduces planar counting to the grid formulas.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
-from operator import mul
 
 from .errors import NotJMPair, NotPlanar, OracleMismatch, UnrecognizedShape
 from .ideal import hibi_ideal
@@ -17,10 +17,9 @@ from .oracle import (
     GradedBetti,
     RowSpan,
     fiber_codes,
+    fiber_kernels,
     graded_betti_oracle,
-    kernel_dim,
-    module_vec_row,
-    variable_shifts,
+    standard_monomial,
 )
 from .syzygy import FINE_KINDS, diamond_reducible
 
@@ -222,39 +221,67 @@ def typed_minimal_histogram(ideal, gens):
 
     Degree-3 elements are admitted in kind order strip, L, box, G, each one
     kept only if it enlarges the span, and the kept ones must span the whole
-    degree-3 kernel (OracleMismatch otherwise).  Degree-4 elements count only
-    the rank they add beyond the variable shifts of the kept degree-3 rows.
-    Every row is multihomogeneous, so that span splits by fiber and only the
-    shifts in the fibers of degree-4 elements are eliminated.  Returns the
-    per-kind counts of the kept generators.
+    degree-3 kernel (OracleMismatch otherwise, naming the first fiber they
+    fall short in).  Degree-4 elements count only the rank they add beyond
+    the variable shifts of the kept degree-3 rows.  Returns the per-kind
+    counts of the kept generators.
+
+    Every row is multihomogeneous: all its columns (mu, i) share the
+    multidegree of mu * x_a x_b, (a, b) the pair of relation i.  So spans and
+    ranks split by fiber, and only the shifts that land in a fiber holding a
+    degree-4 element are built.  Each fiber b keeps its own span, stopped at
+    kernel_b (oracle.fiber_kernels), the dimension of all syzygies of
+    multidegree b: every row is a phi-checked syzygy of its fiber, so once
+    the span is that large any further row there is provably dependent and is
+    not eliminated.  reduced_h1 stops at its cycle count by the same argument.
     """
     gens = sorted(gens, key=lambda t: (_KIND_PRIORITY[t.kind], t.witness))
     hist = {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 0}
-    deg3, kept, deg4_rows = RowSpan(), [], []
-    for t in gens:
-        row = module_vec_row(t.element)
-        if next(iter(t.element.values())).degree() + 2 == 4:
-            deg4_rows.append((t.kind, row))
-        elif deg3.add(row):
-            kept.append(row)
-            hist[_COARSE_OF[t.kind]] += 1
-    kernel = kernel_dim(ideal, 3)
-    if deg3.rank != kernel:
-        raise OracleMismatch(
-            f"typed degree-3 rank {deg3.rank} disagrees with oracle kernel "
-            f"{kernel}", breakdown={"typed": deg3.rank, "oracle": kernel})
-    codes = fiber_codes(ideal.lattice, 4)
+    L = ideal.lattice
+    pairs = [r.pair for r in ideal.relations]
 
-    def fiber(row):
+    def fiber(codes, row):
         mu, i = next(iter(row))
-        return sum(map(mul, mu, codes)) + sum(
-            codes[v] for v in ideal.relations[i].pair)
+        a, b = pairs[i]
+        return sum(map(codes.__getitem__, mu)) + codes[a] + codes[b]
 
-    targets = {fiber(row) for _, row in deg4_rows}
-    deg4 = RowSpan(r for r in variable_shifts(kept) if fiber(r) in targets)
-    for kind, row in deg4_rows:
-        if deg4.add(row):
-            hist[_COARSE_OF[kind]] += 1
+    codes = fiber_codes(L, 3)
+    kernels = fiber_kernels(ideal, 3)
+    spans, kept, deg4 = defaultdict(RowSpan), [], []
+    for t in gens:
+        if len(next(iter(t.row))[0]) == 2:
+            deg4.append(t)
+            continue
+        b = fiber(codes, t.row)
+        if spans[b].rank < kernels[b] and spans[b].add(t.row):
+            kept.append(t.row)
+            hist[_COARSE_OF[t.kind]] += 1
+    short = next((b for b, k in kernels.items() if spans[b].rank < k), None)
+    if short is not None:
+        rank = sum(span.rank for span in spans.values())
+        kernel = sum(kernels.values())
+        chain = ", ".join(L.labels[v] for v in standard_monomial(L, 3, short))
+        raise OracleMismatch(
+            f"typed degree-3 rank {rank} disagrees with oracle kernel "
+            f"{kernel}; first short fiber: that of ({chain}), typed rank "
+            f"{spans[short].rank} of kernel {kernels[short]}",
+            breakdown={"typed": rank, "oracle": kernel})
+    if not deg4:
+        return hist
+    codes = fiber_codes(L, 4)
+    kernels = fiber_kernels(ideal, 4)
+    spans = {fiber(codes, t.row): RowSpan() for t in deg4}
+    for row in kept:
+        base = fiber(codes, row)
+        for v, code in enumerate(codes):
+            span = spans.get(base + code)
+            if span is not None and span.rank < kernels[base + code]:
+                span.add({(tuple(sorted(mu + (v,))), i): c
+                          for (mu, i), c in row.items()})
+    for t in deg4:
+        b = fiber(codes, t.row)
+        if spans[b].rank < kernels[b] and spans[b].add(t.row):
+            hist[_COARSE_OF[t.kind]] += 1
     return hist
 
 

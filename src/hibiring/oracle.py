@@ -37,6 +37,7 @@ the Taylor complex).  Hence beta_{1,j}(I) = 0 for j > 4, and the public
 functions report degrees 3..TOP_DEGREE only.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
@@ -44,8 +45,9 @@ from math import comb, gcd
 # The degree bound proved in the module docstring.
 TOP_DEGREE = 4
 
-# A row is a sparse vector over column keys with integer entries; for a
-# syzygy the keys are (mu, i).
+# A row is a sparse vector over column keys with integer entries.  For a
+# syzygy the key (mu, i) is the column mu * relation_i, with the monomial mu
+# written as a sorted tuple of variables, as _fibers writes monomials.
 
 
 @dataclass(frozen=True)
@@ -105,19 +107,10 @@ def row_rank(rows):
     return RowSpan(rows).rank
 
 
-def variable_shifts(basis):
-    """Every row of a degree-(d-1) kernel basis times every variable; these
-    span the degree-d syzygies that are not minimal."""
-    for row in basis:
-        n = len(next(iter(row))[0])
-        for v in range(n):
-            yield {(mu[:v] + (mu[v] + 1,) + mu[v + 1:], i): c
-                   for (mu, i), c in row.items()}
-
-
 def module_vec_row(vec):
     """Flatten a syzygy vector {i: Polynomial} to an integer sparse row over
-    column keys (monomial, i).  Denominators are cleared."""
+    column keys (mu, i), mu the exponent tuple's sorted variables.
+    Denominators are cleared."""
     row = {}
     denom = 1
     for i, p in vec.items():
@@ -126,8 +119,8 @@ def module_vec_row(vec):
             denom = denom * d // gcd(denom, d)
     for i, p in vec.items():
         for m, c in p.coeffs.items():
-            v = c * denom
-            row[(m, i)] = int(v)
+            mu = tuple(v for v, e in enumerate(m) for _ in range(e))
+            row[(mu, i)] = int(c * denom)
     return row
 
 
@@ -214,3 +207,45 @@ def first_betti_oracle(ideal):
 def is_linear_first_syzygy(ideal):
     """True iff the first syzygy needs no minimal generator beyond degree 3."""
     return graded_betti_oracle(ideal).linear
+
+
+# -- per-fiber kernels -------------------------------------------------------
+
+
+def fiber_kernels(ideal, d):
+    """The dimension kernel_b of the syzygies of multidegree b, for every
+    degree-d fiber b, keyed by the fiber's code (fiber_codes(lattice, d)
+    summed over any monomial of the fiber).
+
+    F_b -> I_b is onto and R_b is one-dimensional, so by rank-nullity
+    kernel_b = columns_b - |fiber_b| + 1, where columns_b counts the columns
+    (mu, i) of multidegree b.  Summed over b this is kernel_dim(ideal, d).
+    """
+    L = ideal.lattice
+    codes = fiber_codes(L, d)
+    shifts = [sum(map(codes.__getitem__, mu))
+              for mu in combinations_with_replacement(range(L.n), d - 2)]
+    columns = Counter(codes[a] + codes[b] + s
+                      for a, b in (r.pair for r in ideal.relations)
+                      for s in shifts)
+    kernels = {}
+    for fiber in _fibers(L, d):
+        code = sum(map(codes.__getitem__, fiber[0]))
+        kernels[code] = columns[code] - len(fiber) + 1
+    return kernels
+
+
+def standard_monomial(lattice, d, code):
+    """The standard monomial of the degree-d fiber with the given code: the
+    one chain of elements, bottom first, whose codes sum to it.  The k-th
+    join-irreducible occurs in it as often as code's k-th digit in base d+1
+    says, so the t-th element from the top holds the join-irreducibles of
+    digit at least t."""
+    codes = fiber_codes(lattice, d)
+    digits = []
+    while code:
+        code, digit = divmod(code, d + 1)
+        digits.append(digit)
+    return tuple(codes.index(sum((d + 1) ** k for k, digit in enumerate(digits)
+                                 if digit >= t))
+                 for t in range(d, 0, -1))

@@ -1,8 +1,11 @@
 """First syzygies of the diamond relations.
 
-A syzygy vector is a map {generator index: Polynomial coefficient}; applying
-phi substitutes each basis vector by its binomial and sums.  Vectors are
-compared with the Schreyer order induced by the generators' leading monomials.
+A syzygy is kept as an integer row {(mu, i): c} over the columns mu * e_i, mu
+a sorted tuple of variables (the row format of oracle); apply_phi substitutes
+each e_i by its binomial and sums in integers.  The Schreyer pairs and the
+module orders work on vectors {generator index: Polynomial coefficient},
+compared with the Schreyer order induced by the generators' leading
+monomials; oracle.module_vec_row turns such a vector into a row.
 
 Besides the Schreyer S-pair generators, this module constructs the named typed
 generators attached to pairs of diamonds: strip (S1/S2), L, box (B1/B2), the
@@ -11,7 +14,7 @@ diamond type D for element-disjoint pairs.  classify_pair decides which family
 a pair of diamonds falls into from its relation profile.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ConditionViolated,
@@ -59,12 +62,25 @@ def vec_equal_up_to_sign(u, v):
     return vec_sub(u, v) == {} or vec_add(u, v) == {}
 
 
-def apply_phi(vec, ideal):
-    """Substitute each basis vector by its binomial and sum."""
-    total = Polynomial.zero(ideal.field, ideal.lattice.n)
-    for i, p in vec.items():
-        total = total + p * ideal.relations[i].poly
-    return total
+def _binomial(ideal, i):
+    """Relation i as its two signed terms, x_a x_b and -x_{a|b} x_{a&b}, each
+    monomial a sorted tuple of variables."""
+    a, b = ideal.relations[i].pair
+    L = ideal.lattice
+    return (((a, b) if a < b else (b, a), 1),
+            (tuple(sorted((L.meet[a][b], L.join[a][b]))), -1))
+
+
+def apply_phi(row, ideal):
+    """phi of an integer row {(mu, i): c}: the sum of c * mu * relation_i, as
+    {monomial: coefficient} over sorted variable tuples, zeros dropped.  A row
+    is a syzygy exactly when its image is empty."""
+    image = {}
+    for (mu, i), c in row.items():
+        for term, sign in _binomial(ideal, i):
+            key = tuple(sorted(mu + term))
+            image[key] = image.get(key, 0) + c * sign
+    return {k: v for k, v in image.items() if v}
 
 
 # -- Schreyer order ----------------------------------------------------------
@@ -268,9 +284,23 @@ def classify_pair(L, p1, p2):
 
 @dataclass(frozen=True)
 class TypedSyzygy:
+    """A typed generator as an integer row {(mu, i): coefficient}: the column
+    mu * e_i, mu a sorted tuple of variables (oracle's row keys)."""
     kind: str
-    element: dict
+    row: dict
     witness: tuple
+    ideal: object = field(compare=False, repr=False)
+
+    @property
+    def element(self):
+        """The row as a module vector {i: Polynomial}, built on each access."""
+        I = self.ideal
+        n = I.lattice.n
+        vec = {}
+        for (mu, i), c in self.row.items():
+            t = Polynomial.term(I.field, n, tuple(map(mu.count, range(n))), c)
+            vec[i] = vec[i] + t if i in vec else t
+        return vec
 
 
 FINE_KINDS = ("S1", "S2", "L", "B1", "B2",
@@ -283,6 +313,52 @@ _FAMILY_TO_FINE = {"strip": ("S1", "S2"), "L": ("L",), "box": ("B1", "B2"),
 # the relation profile each incomparable-side kind (B1, B2, G1..G6, G) requires
 _PROFILE_OF_FINE = {fine: bits for bits, family in _INCOMPARABLE_TABLE.items()
                     for fine in _FAMILY_TO_FINE.get(family, ())}
+
+# The terms of each shared-element kind on its witness (a, b1, b2), given the
+# join j and meet m: (x, y, v, sign) is sign * x_v * e_{(x, y)}, e_{(x, y)}
+# the basis vector of the relation of the pair {x, y}.
+_TERMS = {
+    "S1": lambda a, b1, b2, j, m: (
+        (a, b1, b2, -1), (a, b2, b1, 1), (b2, j(a, b1), m(a, b1), -1)),
+    "S2": lambda a, b1, b2, j, m: (
+        (a, b1, j(a, b2), 1), (a, b2, j(a, b1), -1), (b2, j(a, b1), a, 1)),
+    "L": lambda a, b1, b2, j, m: (
+        (a, b1, b2, -1), (a, b2, b1, 1), (b1, m(a, b2), j(a, b2), 1),
+        (b2, j(a, b1), m(a, b1), -1)),
+    "B1": lambda a, b1, b2, j, m: (
+        (a, b1, b2, -1), (a, b2, b1, 1), (b2, m(a, b1), j(a, b1), -1),
+        (j(a, b1), j(b1, b2), m(a, b2), -1)),
+    "B2": lambda a, b1, b2, j, m: (
+        (a, b2, b1, -1), (b1, b2, a, 1), (a, m(b1, b2), j(b1, b2), 1),
+        (j(a, b1), j(b1, b2), m(a, b2), 1)),
+    "G1": lambda a, b1, b2, j, m: (
+        (a, b1, b2, 1), (a, b2, b1, -1), (b1, j(a, b2), m(a, b1), -1),
+        (b2, j(a, b1), m(a, b1), 1)),
+    "G2": lambda a, b1, b2, j, m: (
+        (a, b1, b2, 1), (a, b2, b1, -1), (b1, m(a, b2), j(a, b1), -1),
+        (b2, m(a, b1), j(a, b1), 1)),
+    "G3": lambda a, b1, b2, j, m: (
+        (a, b1, b2, 1), (a, b2, b1, -1), (b1, m(a, b2), j(a, b2), -1),
+        (b2, m(a, b1), j(a, b1), 1),
+        (j(a, b1), j(b1, b2), m(m(a, b1), b2), 1)),
+    "G4": lambda a, b1, b2, j, m: (
+        (a, b1, b2, 1), (a, b2, b1, -1), (b2, j(a, b1), m(a, b1), 1),
+        (b1, j(a, b2), m(a, b2), -1),
+        (m(a, b1), m(b1, b2), j(j(a, b1), b2), 1)),
+    "G5": lambda a, b1, b2, j, m: (
+        (a, b1, b2, 1), (a, b2, b1, -1), (b1, m(a, b2), j(a, b2), -1),
+        (b2, j(a, b1), m(a, b1), 1),
+        (j(b1, m(a, b2)), j(a, b2), m(a, b1), -1)),
+    "G6": lambda a, b1, b2, j, m: (
+        (a, b1, b2, 1), (a, b2, b1, -1), (b1, m(a, b2), j(a, b2), -1),
+        (b2, m(a, b1), j(a, b1), 1),
+        (j(a, b2), j(b1, b2), m(m(a, b1), b2), -1)),
+    "G": lambda a, b1, b2, j, m: (
+        (a, b1, b2, 1), (a, b2, b1, -1), (b1, m(a, b2), j(a, b2), -1),
+        (b2, m(a, b1), j(a, b1), 1),
+        (j(b1, m(a, b2)), j(a, b2), m(m(a, b1), b2), -1),
+        (j(b2, m(a, b1)), j(a, b1), m(m(a, b1), b2), 1)),
+}
 
 
 def _require(cond, name):
@@ -329,104 +405,30 @@ def typed_generator(ideal, kind, witness):
     if kind not in FINE_KINDS:
         raise HibiError(f"unknown kind {kind!r}")
     _check_conditions(L, kind, witness)
-    field = ideal.field
-    nvars = L.n
-
-    def var(v):
-        return tuple(1 if k == v else 0 for k in range(nvars))
-
-    def eps(x, y, coeff_mono, sign):
-        key = (x, y) if (x, y) in ideal.index_of else (y, x)
-        if key not in ideal.index_of:
-            # the auxiliary pair collapsed to a comparable one; its relation
-            # is the zero polynomial, so the term contributes nothing
-            return {}
-        return {ideal.index_of[key]:
-                Polynomial.term(field, nvars, coeff_mono, sign)}
-
-    def combine(*terms):
-        out = {}
-        for t in terms:
-            out = vec_add(out, t)
-        return out
-
     if kind == "D":
         a1, b1, a2, b2 = witness
-        f1 = ideal.generator(a1, b1)
-        f2 = ideal.generator(a2, b2)
-        vec = vec_sub({f1.index: f2.poly}, {f2.index: f1.poly})
+        i1 = ideal.generator(a1, b1).index
+        i2 = ideal.generator(a2, b2).index
+        row = {(mu, i1): c for mu, c in _binomial(ideal, i2)}
+        row.update({(mu, i2): -c for mu, c in _binomial(ideal, i1)})
     else:
-        a, b1, b2 = witness
+        index_of = ideal.index_of
+        row = {}
         j = lambda x, y: L.join[x][y]
         m = lambda x, y: L.meet[x][y]
-        if kind == "S1":
-            vec = combine(eps(a, b1, var(b2), -1),
-                          eps(a, b2, var(b1), 1),
-                          eps(b2, j(a, b1), var(m(a, b1)), -1))
-        elif kind == "S2":
-            vec = combine(eps(a, b1, var(j(a, b2)), 1),
-                          eps(a, b2, var(j(a, b1)), -1),
-                          eps(b2, j(a, b1), var(a), 1))
-        elif kind == "L":
-            vec = combine(eps(a, b1, var(b2), -1),
-                          eps(a, b2, var(b1), 1),
-                          eps(b1, m(a, b2), var(j(a, b2)), 1),
-                          eps(b2, j(a, b1), var(m(a, b1)), -1))
-        elif kind == "B1":
-            vec = combine(eps(a, b1, var(b2), -1),
-                          eps(a, b2, var(b1), 1),
-                          eps(b2, m(a, b1), var(j(a, b1)), -1),
-                          eps(j(a, b1), j(b1, b2), var(m(a, b2)), -1))
-        elif kind == "B2":
-            vec = combine(eps(a, b2, var(b1), -1),
-                          eps(b1, b2, var(a), 1),
-                          eps(a, m(b1, b2), var(j(b1, b2)), 1),
-                          eps(j(a, b1), j(b1, b2), var(m(a, b2)), 1))
-        elif kind == "G1":
-            vec = combine(eps(a, b1, var(b2), 1),
-                          eps(a, b2, var(b1), -1),
-                          eps(b1, j(a, b2), var(m(a, b1)), -1),
-                          eps(b2, j(a, b1), var(m(a, b1)), 1))
-        elif kind == "G2":
-            vec = combine(eps(a, b1, var(b2), 1),
-                          eps(a, b2, var(b1), -1),
-                          eps(b1, m(a, b2), var(j(a, b1)), -1),
-                          eps(b2, m(a, b1), var(j(a, b1)), 1))
-        elif kind == "G3":
-            vec = combine(eps(a, b1, var(b2), 1),
-                          eps(a, b2, var(b1), -1),
-                          eps(b1, m(a, b2), var(j(a, b2)), -1),
-                          eps(b2, m(a, b1), var(j(a, b1)), 1),
-                          eps(j(a, b1), j(b1, b2), var(m(m(a, b1), b2)), 1))
-        elif kind == "G4":
-            vec = combine(eps(a, b1, var(b2), 1),
-                          eps(a, b2, var(b1), -1),
-                          eps(b2, j(a, b1), var(m(a, b1)), 1),
-                          eps(b1, j(a, b2), var(m(a, b2)), -1),
-                          eps(m(a, b1), m(b1, b2), var(j(j(a, b1), b2)), 1))
-        elif kind == "G5":
-            vec = combine(eps(a, b1, var(b2), 1),
-                          eps(a, b2, var(b1), -1),
-                          eps(b1, m(a, b2), var(j(a, b2)), -1),
-                          eps(b2, j(a, b1), var(m(a, b1)), 1),
-                          eps(j(b1, m(a, b2)), j(a, b2), var(m(a, b1)), -1))
-        elif kind == "G6":
-            vec = combine(eps(a, b1, var(b2), 1),
-                          eps(a, b2, var(b1), -1),
-                          eps(b1, m(a, b2), var(j(a, b2)), -1),
-                          eps(b2, m(a, b1), var(j(a, b1)), 1),
-                          eps(j(a, b2), j(b1, b2), var(m(m(a, b1), b2)), -1))
-        else:  # kind == "G"
-            mm = m(m(a, b1), b2)
-            vec = combine(eps(a, b1, var(b2), 1),
-                          eps(a, b2, var(b1), -1),
-                          eps(b1, m(a, b2), var(j(a, b2)), -1),
-                          eps(b2, m(a, b1), var(j(a, b1)), 1),
-                          eps(j(b1, m(a, b2)), j(a, b2), var(mm), -1),
-                          eps(j(b2, m(a, b1)), j(a, b1), var(mm), 1))
-    if not apply_phi(vec, ideal).is_zero():
+        for x, y, v, sign in _TERMS[kind](*witness, j, m):
+            i = index_of.get((x, y), index_of.get((y, x)))
+            if i is None:
+                # the auxiliary pair collapsed to a comparable one; its
+                # relation is the zero polynomial, so the term contributes
+                # nothing
+                continue
+            key = ((v,), i)
+            row[key] = row.get(key, 0) + sign
+        row = {k: c for k, c in row.items() if c}
+    if apply_phi(row, ideal):
         raise NotASyzygy(kind, witness, [L.labels[v] for v in witness])
-    return TypedSyzygy(kind, vec, witness)
+    return TypedSyzygy(kind, row, witness, ideal)
 
 
 def typed_generators_for_pair(ideal, p1, p2):
@@ -440,7 +442,7 @@ def typed_generators_for_pair(ideal, p1, p2):
     out = []
     for fine in _FAMILY_TO_FINE[family]:
         t = typed_generator(ideal, fine, witness)
-        if t.element:
+        if t.row:
             out.append(t)
     return out
 

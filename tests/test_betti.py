@@ -29,11 +29,13 @@ from hibiring.errors import (
 )
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import (
+    RowSpan,
     first_betti_oracle,
     graded_betti_oracle,
     is_linear_first_syzygy,
+    kernel_dim,
 )
-from hibiring.syzygy import all_typed_generators
+from hibiring.syzygy import FINE_KINDS, all_typed_generators
 
 PLANAR_CENSUS = [L for L in enumerate_distributive(8) if L.is_planar()]
 
@@ -214,6 +216,52 @@ def test_minimal_histogram_short_of_the_kernel_raises():
     with pytest.raises(OracleMismatch) as exc:
         typed_minimal_histogram(I, gens)
     assert exc.value.breakdown == {"typed": 44, "oracle": 52}
+    # the first fiber short of its kernel, by its standard monomial x1 x5 x10
+    assert str(exc.value).endswith(
+        "first short fiber: that of (1, 5, 10), typed rank 2 of kernel 4")
+
+
+_COARSE = {"S1": "strip", "S2": "strip", "L": "L", "B1": "box", "B2": "box",
+           "D": "diamond"}
+
+
+def _uncapped_histogram(I, gens):
+    """The greedy histogram with one span per degree and no fibers: every
+    variable shift of the kept degree-3 rows is eliminated before the
+    degree-4 rows, and no span is stopped early."""
+    gens = sorted(gens, key=lambda t: (FINE_KINDS.index(t.kind), t.witness))
+    hist = {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 0}
+    deg3, kept, deg4 = RowSpan(), [], []
+    for t in gens:
+        if len(next(iter(t.row))[0]) == 2:
+            deg4.append(t)
+        elif deg3.add(t.row):
+            kept.append(t.row)
+            hist[_COARSE.get(t.kind, "G")] += 1
+    assert deg3.rank == kernel_dim(I, 3)
+    span = RowSpan({(tuple(sorted(mu + (v,))), i): c
+                    for (mu, i), c in row.items()}
+                   for row in kept for v in range(I.lattice.n))
+    for t in deg4:
+        if span.add(t.row):
+            hist[_COARSE[t.kind]] += 1
+    return hist
+
+
+def test_minimal_histogram_matches_uncapped_reference(
+        diamond_counterexample, stacked_diamonds):
+    """Stopping each fiber's span at its kernel changes no count."""
+    lattices = [diamond_counterexample, stacked_diamonds,
+                overlapping_grids(3, 1, 2, 4)]
+    lattices += [L for L in enumerate_distributive(10) if L.n > 1]
+    nonlinear = 0
+    for L in lattices:
+        I = hibi_ideal(L)
+        gens = all_typed_generators(I)
+        hist = typed_minimal_histogram(I, gens)
+        assert hist == _uncapped_histogram(I, gens)
+        nonlinear += hist["diamond"] > 0
+    assert nonlinear == 33  # lattices where the cap decides a diamond count
 
 
 def test_minimal_histogram_totals_match_oracle():

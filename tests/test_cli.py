@@ -6,7 +6,7 @@ import pytest
 
 from hibiring import enumerate_distributive, ideal, oracle, syzygy
 from hibiring.cli import main
-from hibiring.polynomials import Polynomial
+from hibiring.polynomials import QQ, Polynomial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -225,10 +225,28 @@ def test_syzygy_verify_applies_phi_once(capsys, count_calls):
     assert len(calls) == len(doc["generators"]) == 197
 
 
+def test_syzygy_verify_makes_no_polynomial_product(capsys, monkeypatch):
+    """Typed generators are built and phi-checked as integer rows: the
+    verified syzygy run never multiplies two Polynomials."""
+    calls = []
+    product = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    code, out, _ = run(capsys, "syzygy", "--grid", "2", "3", "--verify")
+    assert code == 0
+    assert "all 197 typed generators verified as syzygies" in out
+    assert calls == []
+    x = Polynomial.variable(QQ, 1, 0)
+    x * x  # the counter is live
+    assert len(calls) == 1
+
+
 def test_syzygy_failed_phi_is_mismatch(capsys, monkeypatch):
-    def constant_one(vec, I):
-        n = I.lattice.n
-        return Polynomial.term(I.field, n, (0,) * n)
+    def constant_one(row, I):
+        return {(): 1}
     monkeypatch.setattr(syzygy, "apply_phi", constant_one)
     code, out, err = run(capsys, "syzygy", "--grid", "1", "2")
     assert code == 2

@@ -8,6 +8,8 @@ from conftest import chain, overlapping_grids
 from hibiring import enumerate_distributive, grid
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import (
+    fiber_codes,
+    fiber_kernels,
     first_betti_oracle,
     graded_betti_oracle,
     graded_betti_row,
@@ -16,6 +18,7 @@ from hibiring.oracle import (
     module_vec_row,
     reduced_h1,
     row_rank,
+    standard_monomial,
 )
 from hibiring.polynomials import mono_mul
 
@@ -87,6 +90,30 @@ def test_kernel_dim_euler_formula(stacked_diamonds):
             assert kernel_dim(I, d) == len(columns) - row_rank(columns)
 
 
+def test_fiber_kernels_sum_to_kernel_dim(stacked_diamonds):
+    """Per-fiber kernel dimensions are nonnegative and sum to the
+    rank-nullity kernel dimension in degrees 3 and 4."""
+    lattices = [grid(2, 3), grid(3, 3), stacked_diamonds]
+    lattices += enumerate_distributive(9)
+    for L in lattices:
+        I = hibi_ideal(L)
+        for d in (3, 4):
+            kernels = fiber_kernels(I, d)
+            assert min(kernels.values()) >= 0
+            assert sum(kernels.values()) == kernel_dim(I, d)
+
+
+def test_standard_monomial_is_the_chain_of_its_fiber(stacked_diamonds):
+    for L in [grid(2, 3), stacked_diamonds, overlapping_grids(3, 1, 2, 4)]:
+        for d in (3, 4):
+            codes = fiber_codes(L, d)
+            for mono in combinations_with_replacement(range(L.n), d):
+                code = sum(codes[v] for v in mono)
+                chain = standard_monomial(L, d, code)
+                assert sum(codes[v] for v in chain) == code
+                assert all(L.le(u, v) for u, v in zip(chain, chain[1:]))
+
+
 def test_reduced_h1_small_complexes():
     hollow = [{0, 1}, {1, 2}, {0, 2}]
     assert reduced_h1(hollow) == 1
@@ -102,7 +129,7 @@ def test_module_vec_row_clears_denominators():
     half = Polynomial(QQ, 2, {(1, 0): Fraction(1, 2)})
     third = Polynomial(QQ, 2, {(0, 1): Fraction(-1, 3)})
     row = module_vec_row({0: half, 1: third})
-    assert row == {((1, 0), 0): 3, ((0, 1), 1): -2}
+    assert row == {((0,), 0): 3, ((1,), 1): -2}
 
 
 def test_row_rank_simple():
