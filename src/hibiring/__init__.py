@@ -7,8 +7,8 @@ from .betti import (
     PlanarBettiBreakdown,
     grid_betti,
     k_of,
-    linearity_by_k,
     planar_betti,
+    planar_linearity,
     typed_minimal_histogram,
 )
 from .ideal import HibiIdeal, buchberger_check, hibi_ideal
@@ -57,8 +57,8 @@ __all__ = [
     "hibi_ideal",
     "is_linear_first_syzygy",
     "k_of",
-    "linearity_by_k",
     "planar_betti",
+    "planar_linearity",
     "schreyer_pair",
     "typed_generator",
     "typed_minimal_histogram",

@@ -19,21 +19,15 @@ from . import lattice as lat
 from .betti import (
     grid_betti,
     k_of,
-    linearity_by_k,
     n_box_planar,
     n_diamond_planar,
     n_l_planar,
     n_strip_planar,
     planar_betti,
+    planar_linearity,
     typed_minimal_histogram,
 )
-from .errors import (
-    HibiError,
-    NotASyzygy,
-    NotGroebner,
-    OracleMismatch,
-    UnrecognizedShape,
-)
+from .errors import HibiError, NotASyzygy, NotGroebner, OracleMismatch
 from .ideal import (
     buchberger_check,
     hibi_ideal,
@@ -214,20 +208,12 @@ def cmd_betti(args):
 
 def cmd_linearity(args):
     L = _load_lattice(args)
-    ideal = hibi_ideal(L)
-    try:
-        v = linearity_by_k(L)
-        verdict, reason, k = v.verdict, v.reason, v.k
-    except UnrecognizedShape as exc:
-        k = k_of(L)
-        verdict = ("linear" if is_linear_first_syzygy(ideal)
-                   else "nonlinear")
-        reason = f"decided by the oracle ({exc})"
-    report = {"k": k, "verdict": verdict, "reason": reason}
-    lines = [f"k = {k}", f"verdict: {verdict}", f"reason: {reason}"]
+    v = planar_linearity(L)
+    report = {"k": v.k, "verdict": v.verdict, "reason": v.reason}
+    lines = [f"k = {v.k}", f"verdict: {v.verdict}", f"reason: {v.reason}"]
     if args.verify:
-        oracle = is_linear_first_syzygy(ideal)
-        report["oracle_agrees"] = (verdict == "linear") == oracle
+        oracle = is_linear_first_syzygy(hibi_ideal(L))
+        report["oracle_agrees"] = (v.verdict == "linear") == oracle
         lines.append(f"oracle agrees: {report['oracle_agrees']}")
         if not report["oracle_agrees"]:
             _emit(args, report, lines)
@@ -248,7 +234,7 @@ def cmd_census(args):
         examined += 1
         ideal = hibi_ideal(L)
         row = {"elements": L.n, "planar": L.is_planar(), "k": k_of(L)}
-        oracle = None  # planar_betti's rows, reused by the linearity check
+        pb = None  # planar_betti's breakdown, reused by the linearity check
         try:
             if "gb" in checks:
                 buchberger_check(ideal)
@@ -256,18 +242,17 @@ def cmd_census(args):
             if "betti" in checks:
                 if L.is_planar():
                     pb = planar_betti(L)
-                    row["betti"], oracle = pb.total, pb.oracle
+                    row["betti"] = pb.total
                 else:
                     row["betti"] = "skipped (not planar)"
             if "linearity" in checks:
                 if L.is_planar():
-                    try:
-                        v = linearity_by_k(L)
-                        linear = (is_linear_first_syzygy(ideal)
-                                  if oracle is None else oracle.linear)
-                        agree = (v.verdict == "linear") == linear
-                    except UnrecognizedShape:
-                        agree = True  # the oracle alone decides
+                    if pb is None:
+                        nD = n_diamond_planar(L)
+                        linear = is_linear_first_syzygy(ideal)
+                    else:
+                        nD, linear = pb.nD, pb.oracle.linear
+                    agree = (nD == 0) == linear
                     row["linearity"] = "pass" if agree else "FAIL"
                     failures += 0 if agree else 1
                 else:

@@ -82,7 +82,3 @@ class OracleMismatch(HibiError):
     def __init__(self, message, breakdown=None):
         self.breakdown = breakdown
         super().__init__(message)
-
-
-class UnrecognizedShape(HibiError):
-    pass

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import overlapping_grids
 from hibiring import enumerate_distributive, grid
-from hibiring.betti import grid_betti, linearity_by_k, strip_1d
+from hibiring.betti import grid_betti, planar_linearity, strip_1d
 from hibiring.errors import HibiError
 from hibiring.ideal import buchberger_check, hibi_ideal
 from hibiring.oracle import (
@@ -119,23 +119,27 @@ def test_5_formula_oracle_agreement():
         assert grid_betti(m, n).total == first_betti_oracle(hibi_ideal(grid(m, n)))
 
 
-def test_6_linearity_theorem(stacked_diamonds):
+def test_6_linearity_theorem(stacked_diamonds, bridged_diamonds):
     """Grids are linear; the stacked-diamond lattice needs a degree-4
     generator; the overlapping-grids family is linear exactly when one height
-    gap is 1."""
+    gap is 1; the bridged diamonds have k = 3 and are linear all the same."""
     for (m, n) in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3)]:
-        assert linearity_by_k(grid(m, n)).verdict == "linear"
+        assert planar_linearity(grid(m, n)).verdict == "linear"
         assert is_linear_first_syzygy(hibi_ideal(grid(m, n)))
 
-    assert linearity_by_k(stacked_diamonds).verdict == "nonlinear"
+    assert planar_linearity(stacked_diamonds).verdict == "nonlinear"
     rows = graded_betti_oracle(hibi_ideal(stacked_diamonds))
     assert rows[-1].degree == 4 and rows[-1].minimal_generators >= 1
 
     for dims, expect in [((2, 1, 1, 2), True), ((3, 1, 1, 3), True),
                          ((3, 1, 2, 3), False), ((3, 1, 2, 4), False)]:
         L = overlapping_grids(*dims)
-        assert (linearity_by_k(L).verdict == "linear") is expect
+        assert (planar_linearity(L).verdict == "linear") is expect
         assert is_linear_first_syzygy(hibi_ideal(L)) is expect
+
+    v = planar_linearity(bridged_diamonds)
+    assert v.k == 3 and v.verdict == "linear"
+    assert is_linear_first_syzygy(hibi_ideal(bridged_diamonds))
 
 
 def test_7_strip_count_enumeration():

@@ -10,23 +10,18 @@ from hibiring.betti import (
     k_of,
     l_2n,
     l_grid,
-    linearity_by_k,
     n_box_planar,
     n_diamond_planar,
     n_l_planar,
     n_pair_strip,
     n_strip_planar,
     planar_betti,
+    planar_linearity,
     strip_1d,
     strip_grid,
     typed_minimal_histogram,
 )
-from hibiring.errors import (
-    NotJMPair,
-    NotPlanar,
-    OracleMismatch,
-    UnrecognizedShape,
-)
+from hibiring.errors import NotJMPair, NotPlanar, OracleMismatch
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import (
     RowSpan,
@@ -143,7 +138,8 @@ def test_planar_betti_runs_the_oracle_once(stacked_diamonds, count_calls):
 def test_diamond_count_against_oracle_to_twelve(census_to_twelve):
     """On every planar lattice of 2-12 elements the diamond count is at most
     the oracle's degree-4 count, and falls short only on the ten lattices
-    where the bridge criterion drops a pair that still adds rank."""
+    where the bridge criterion drops a pair that still adds rank.  It is 0
+    exactly when degree 4 is, which is planar_linearity's rule."""
     short = {}
     for L in census_to_twelve:
         if L.n < 2 or not L.is_planar():
@@ -151,6 +147,7 @@ def test_diamond_count_against_oracle_to_twelve(census_to_twelve):
         nD = n_diamond_planar(L)
         degree4 = graded_betti_oracle(hibi_ideal(L))[-1].minimal_generators
         assert nD <= degree4
+        assert (nD == 0) == (degree4 == 0)
         if nD < degree4:
             short[L.n] = short.get(L.n, 0) + 1
     assert short == {10: 1, 11: 2, 12: 7}
@@ -281,46 +278,37 @@ def test_k_values():
 
 
 def test_linearity_k_zero_and_one():
-    assert linearity_by_k(chain(5)).verdict == "linear"
+    assert planar_linearity(chain(5)).verdict == "linear"
     for (m, n) in [(1, 1), (1, 4), (2, 2), (3, 3)]:
-        v = linearity_by_k(grid(m, n))
+        v = planar_linearity(grid(m, n))
         assert v.k == 1 and v.verdict == "linear"
 
 
 def test_linearity_stacked(stacked_diamonds):
-    v = linearity_by_k(stacked_diamonds)
+    v = planar_linearity(stacked_diamonds)
     assert v.k == 2 and v.verdict == "nonlinear"
-    assert "stacked" in v.reason
+    assert v.reason == "1 unbridged comparable diamond pair"
 
 
 def test_linearity_overlapping_grids():
     linear = overlapping_grids(2, 1, 1, 2)
-    v = linearity_by_k(linear)
+    v = planar_linearity(linear)
     assert v.k == 2 and v.verdict == "linear"
     assert is_linear_first_syzygy(hibi_ideal(linear))
 
     also_linear = overlapping_grids(3, 1, 1, 3)
-    assert linearity_by_k(also_linear).verdict == "linear"
+    assert planar_linearity(also_linear).verdict == "linear"
     assert is_linear_first_syzygy(hibi_ideal(also_linear))
 
     nonlinear = overlapping_grids(3, 1, 2, 3)
-    v = linearity_by_k(nonlinear)
+    v = planar_linearity(nonlinear)
     assert v.k == 2 and v.verdict == "nonlinear"
     assert not is_linear_first_syzygy(hibi_ideal(nonlinear))
 
 
-def test_linearity_census_agrees_with_oracle():
-    for L in PLANAR_CENSUS:
-        try:
-            v = linearity_by_k(L)
-        except UnrecognizedShape:
-            continue
-        assert (v.verdict == "linear") == is_linear_first_syzygy(hibi_ideal(L))
-
-
 def test_linearity_requires_planar(boolean_cube):
     with pytest.raises(NotPlanar):
-        linearity_by_k(boolean_cube)
+        planar_linearity(boolean_cube)
 
 
 # -- property tests ------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hibiring import enumerate_distributive, ideal, oracle, syzygy
+from hibiring import betti, enumerate_distributive, ideal, oracle, syzygy
 from hibiring.cli import main
 from hibiring.polynomials import QQ, Polynomial
 
@@ -164,10 +164,19 @@ def test_betti_by_degree_keys(capsys):
     assert set(doc["oracle"]["by_degree"]) == {"3", "4"}
 
 
-def test_linearity_verdicts(capsys, lattice_file):
+def test_linearity_verdicts(capsys, lattice_file, count_calls,
+                            bridged_diamonds):
     code, out, _ = run(capsys, "linearity", "--grid", "3", "3", "--verify")
     assert code == 0
     assert "verdict: linear" in out and "oracle agrees: True" in out
+
+    # without --verify the verdict is the diamond count alone
+    ideal_calls = count_calls(ideal, "hibi_ideal")
+    oracle_calls = count_calls(oracle, "graded_betti_oracle")
+    code, out, _ = run(capsys, "linearity", "--grid", "3", "3")
+    assert code == 0
+    assert "verdict: linear" in out
+    assert ideal_calls == [] and oracle_calls == []
 
     stacked = {"elements": [str(i) for i in range(7)],
                "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4], [3, 5],
@@ -176,6 +185,11 @@ def test_linearity_verdicts(capsys, lattice_file):
                        "--verify")
     assert code == 0
     assert "verdict: nonlinear" in out
+
+    path = lattice_file(bridged_diamonds.to_json_dict())  # k = 3, linear
+    code, out, _ = run(capsys, "linearity", "--file", path, "--verify")
+    assert code == 0
+    assert "verdict: linear" in out and "oracle agrees: True" in out
 
 
 @pytest.mark.parametrize("fixture, by_degree", [
@@ -258,9 +272,11 @@ def test_census_runs_the_oracle_once_per_planar_lattice(capsys, count_calls):
     planar = sum(1 for L in enumerate_distributive(7)
                  if L.n > 1 and L.is_planar())
     calls = count_calls(oracle, "graded_betti_oracle")
+    # the linearity check reads planar_betti's diamond count, not a second one
+    counts = count_calls(betti, "n_diamond_planar")
     code, _, _ = run(capsys, "census", "--max-elements", "7")
     assert code == 0
-    assert len(calls) == planar
+    assert len(calls) == len(counts) == planar
 
 
 def test_census_failure_replays_with_file(capsys, lattice_file):
