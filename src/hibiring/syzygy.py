@@ -482,12 +482,9 @@ def diamond_reducible(L, d1, d2):
     diamond (a, b) bridges them: its meet is an element of the lower diamond
     and its join an element of the upper one.
     """
-    _require_disjoint(L, d1, d2)
-    if not diamond_comparable(L, d1, d2):
+    if not diamond_comparable(L, d1, d2):  # checks the pairs first
         return True
     if L.le(L.join[d2[0]][d2[1]], L.meet[d1[0]][d1[1]]):
         d1, d2 = d2, d1
-    for (a, b) in L.incomparable_pairs():
-        if L.meet[a][b] in d1 and L.join[a][b] in d2:
-            return True
-    return False
+    diamonds = L.diamonds()
+    return any((x, y) in diamonds for x in d1 for y in d2)

@@ -1,13 +1,15 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, overlapping_grids
-from hibiring import enumerate_distributive, grid
+from hibiring import enumerate_distributive, grid, oracle
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import (
+    GradedBettiRow,
+    face_shape,
     fiber_codes,
     fiber_kernels,
     first_betti_oracle,
@@ -18,6 +20,8 @@ from hibiring.oracle import (
     module_vec_row,
     reduced_h1,
     row_rank,
+    shape_faces,
+    shape_h1,
     standard_monomial,
 )
 from hibiring.polynomials import mono_mul
@@ -122,6 +126,62 @@ def test_reduced_h1_small_complexes():
     bouquet = hollow + [{0, 3}, {3, 4}, {0, 4}]
     assert reduced_h1(bouquet) == 2
     assert reduced_h1([{0, 1}, {2, 3}]) == 0  # two components, no cycle
+    # two faces are a cone or two contractible components
+    faces = [set(f) for k in (1, 2, 3) for f in combinations(range(5), k)]
+    assert all(reduced_h1([f, g]) == 0 for f, g in combinations(faces, 2))
+
+
+complexes = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
+                     min_size=1, max_size=8)
+
+
+@given(complexes, st.data())
+@settings(max_examples=200, deadline=None)
+def test_shape_is_sound(faces, data):
+    """A shape decodes to a complex with the same H~_1, and an
+    order-preserving relabelling of the vertices keeps the shape."""
+    shape = face_shape(faces)
+    assert reduced_h1(shape_faces(shape)) == reduced_h1(faces)
+    assert shape_h1(shape) == reduced_h1(faces)
+    vertices = sorted(set().union(*faces))
+    labels = sorted(data.draw(st.sets(st.integers(0, 40),
+                                      min_size=len(vertices),
+                                      max_size=len(vertices))))
+    relabel = dict(zip(vertices, labels))
+    assert face_shape([{relabel[v] for v in f} for f in faces]) == shape
+
+
+def _reference_row(ideal, d):
+    """graded_betti_row without shapes or skips: reduced_h1 of every
+    degree-d fiber."""
+    L = ideal.lattice
+    codes = fiber_codes(L, d)
+    fibers = {}
+    for mono in combinations_with_replacement(range(L.n), d):
+        fibers.setdefault(sum(codes[v] for v in mono), []).append(set(mono))
+    minimal = sum(reduced_h1(f) for f in fibers.values())
+    kernel = kernel_dim(ideal, d)
+    return GradedBettiRow(d, kernel, kernel - minimal, minimal)
+
+
+def test_rows_match_unmemoised_reference(stacked_diamonds,
+                                         diamond_counterexample):
+    small = [grid(2, 3), stacked_diamonds, diamond_counterexample]
+    small += enumerate_distributive(9)
+    cases = [(L, (3, 4, 5)) for L in small] + [(grid(3, 3), (3, 4))]
+    for L, degrees in cases:
+        I = hibi_ideal(L)
+        for d in degrees:
+            assert graded_betti_row(I, d) == _reference_row(I, d)
+
+
+def test_oracle_computes_h1_once_per_shape(count_calls):
+    """The 7,500 fibers of more than two monomials of grid 4x5 in degrees 3
+    and 4 have 567 shapes; one reduced_h1 per fiber would make 9,300 calls."""
+    shape_h1.cache_clear()
+    calls = count_calls(oracle, "reduced_h1")
+    assert first_betti_oracle(hibi_ideal(grid(4, 5))) == 1500
+    assert len(calls) <= 600
 
 
 def test_module_vec_row_clears_denominators():

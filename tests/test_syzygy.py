@@ -244,6 +244,26 @@ def test_diamond_reducible(stacked_diamonds, bridged_diamonds):
     assert not diamond_reducible(stacked_diamonds, (1, 2), (4, 5))
 
 
+def test_diamond_reducible_matches_bridge_scan(census_to_twelve):
+    """The bridge lookup agrees with a scan of every incomparable pair for
+    its meet in the lower diamond and its join in the upper one, on every
+    comparable disjoint pair of the census up to 12 elements."""
+    checked = 0
+    for L in census_to_twelve:
+        pairs = L.incomparable_pairs()
+        for i, d1 in enumerate(pairs):
+            for d2 in pairs[i + 1:]:
+                if set(d1) & set(d2) or not diamond_comparable(L, d1, d2):
+                    continue
+                lo, hi = ((d1, d2) if L.le(L.join[d1[0]][d1[1]],
+                                           L.meet[d2[0]][d2[1]]) else (d2, d1))
+                scan = any(L.meet[a][b] in lo and L.join[a][b] in hi
+                           for a, b in pairs)
+                assert diamond_reducible(L, d1, d2) == scan
+                checked += 1
+    assert checked == 708
+
+
 def test_diamond_reducible_requires_disjoint():
     with pytest.raises(HibiError):
         diamond_reducible(grid(1, 2), (1, 2), (1, 4))
