@@ -16,9 +16,11 @@ from .ideal import hibi_ideal
 from .oracle import (
     GradedBetti,
     RowSpan,
+    TOP_DEGREE,
     fiber_codes,
     fiber_kernels,
     graded_betti_oracle,
+    graded_betti_row,
     standard_monomial,
 )
 from .syzygy import FINE_KINDS, diamond_reducible
@@ -152,8 +154,14 @@ def n_box_planar(L):
 
 
 def n_diamond_planar(L):
-    """Number of element-disjoint diamond pairs whose diamond-type syzygy is
-    not reducible (syzygy.diamond_reducible) to shared-element types.
+    """Number of comparable diamond pairs whose diamond-type syzygy is not
+    reducible (syzygy.diamond_reducible) to shared-element types.
+
+    A pair is counted as (lo, hi), two incomparable pairs with the join of lo
+    below the meet of hi.  That forces them to be element-disjoint (every
+    element of lo is at most meet(hi), every element of hi strictly above it)
+    and fixes which one is lower, so each comparable pair is counted exactly
+    once; pairs that are not comparable are reducible and never looked at.
 
     The count is the rank they add beyond the shifted degree-3 kernel: a
     planar diamond is fixed by its meet and join, so for comparable pairs the
@@ -164,8 +172,9 @@ def n_diamond_planar(L):
     """
     _require_planar(L)
     pairs = L.incomparable_pairs()
-    return sum(1 for i, d1 in enumerate(pairs) for d2 in pairs[i + 1:]
-               if not set(d1) & set(d2) and not diamond_reducible(L, d1, d2))
+    return sum(1 for lo in pairs for hi in pairs
+               if L.le(L.join[lo[0]][lo[1]], L.meet[hi[0]][hi[1]])
+               and not diamond_reducible(L, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -222,39 +231,41 @@ def typed_minimal_histogram(ideal, gens):
     Degree-3 elements are admitted in kind order strip, L, box, G, each one
     kept only if it enlarges the span, and the kept ones must span the whole
     degree-3 kernel (OracleMismatch otherwise, naming the first fiber they
-    fall short in).  Degree-4 elements count only the rank they add beyond
-    the variable shifts of the kept degree-3 rows.  Returns the per-kind
-    counts of the kept generators.
+    fall short in).  Returns the per-kind counts of the kept generators.
 
     Every row is multihomogeneous: all its columns (mu, i) share the
     multidegree of mu * x_a x_b, (a, b) the pair of relation i.  So spans and
-    ranks split by fiber, and only the shifts that land in a fiber holding a
-    degree-4 element are built.  Each fiber b keeps its own span, stopped at
+    ranks split by fiber.  Each fiber b keeps its own span, stopped at
     kernel_b (oracle.fiber_kernels), the dimension of all syzygies of
     multidegree b: every row is a phi-checked syzygy of its fiber, so once
     the span is that large any further row there is provably dependent and is
     not eliminated.  reduced_h1 stops at its cycle count by the same argument.
+
+    The degree-4 count is read from the oracle rather than eliminated.  D is
+    the only typed kind above degree 3, and by the graded Nakayama lemma
+    every minimal homogeneous generating set has exactly beta_{1,4} elements
+    of degree 4, the oracle's degree-4 row.  That the typed set reaches it
+    (the paper's completeness theorem) is what test_4_typed_completeness and
+    the uncapped reference in tests/test_betti.py check.
     """
     gens = sorted(gens, key=lambda t: (_KIND_PRIORITY[t.kind], t.witness))
     hist = {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 0}
     L = ideal.lattice
     pairs = [r.pair for r in ideal.relations]
+    codes = fiber_codes(L, 3)
 
-    def fiber(codes, row):
+    def fiber(row):
         mu, i = next(iter(row))
         a, b = pairs[i]
         return sum(map(codes.__getitem__, mu)) + codes[a] + codes[b]
 
-    codes = fiber_codes(L, 3)
     kernels = fiber_kernels(ideal, 3)
-    spans, kept, deg4 = defaultdict(RowSpan), [], []
+    spans = defaultdict(RowSpan)
     for t in gens:
         if len(next(iter(t.row))[0]) == 2:
-            deg4.append(t)
             continue
-        b = fiber(codes, t.row)
+        b = fiber(t.row)
         if spans[b].rank < kernels[b] and spans[b].add(t.row):
-            kept.append(t.row)
             hist[_COARSE_OF[t.kind]] += 1
     short = next((b for b, k in kernels.items() if spans[b].rank < k), None)
     if short is not None:
@@ -266,22 +277,7 @@ def typed_minimal_histogram(ideal, gens):
             f"{kernel}; first short fiber: that of ({chain}), typed rank "
             f"{spans[short].rank} of kernel {kernels[short]}",
             breakdown={"typed": rank, "oracle": kernel})
-    if not deg4:
-        return hist
-    codes = fiber_codes(L, 4)
-    kernels = fiber_kernels(ideal, 4)
-    spans = {fiber(codes, t.row): RowSpan() for t in deg4}
-    for row in kept:
-        base = fiber(codes, row)
-        for v, code in enumerate(codes):
-            span = spans.get(base + code)
-            if span is not None and span.rank < kernels[base + code]:
-                span.add({(tuple(sorted(mu + (v,))), i): c
-                          for (mu, i), c in row.items()})
-    for t in deg4:
-        b = fiber(codes, t.row)
-        if spans[b].rank < kernels[b] and spans[b].add(t.row):
-            hist[_COARSE_OF[t.kind]] += 1
+    hist["diamond"] = graded_betti_row(ideal, TOP_DEGREE).minimal_generators
     return hist
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, overlapping_grids
-from hibiring import enumerate_distributive, grid, oracle
+from hibiring import betti, enumerate_distributive, grid, oracle
 from hibiring.betti import (
     box_grid,
     grid_betti,
@@ -218,6 +218,25 @@ def test_minimal_histogram_short_of_the_kernel_raises():
         "first short fiber: that of (1, 5, 10), typed rank 2 of kernel 4")
 
 
+def test_minimal_histogram_eliminates_no_degree_4_row(monkeypatch):
+    """The degree-4 count is read from the oracle: of grid 3x3's 454 D rows
+    none reaches a RowSpan, and neither does any variable shift."""
+    degrees = []
+
+    class RecordingSpan(RowSpan):
+        def add(self, row):
+            degrees.append(len(next(iter(row))[0]) + 2)
+            return super().add(row)
+
+    monkeypatch.setattr(betti, "RowSpan", RecordingSpan)
+    I = hibi_ideal(grid(3, 3))
+    gens = all_typed_generators(I)
+    assert sum(t.kind == "D" for t in gens) == 454
+    hist = typed_minimal_histogram(I, gens)
+    assert hist["diamond"] == 0
+    assert degrees == [3] * 160
+
+
 _COARSE = {"S1": "strip", "S2": "strip", "L": "L", "B1": "box", "B2": "box",
            "D": "diamond"}
 
@@ -246,11 +265,17 @@ def _uncapped_histogram(I, gens):
 
 
 def test_minimal_histogram_matches_uncapped_reference(
-        diamond_counterexample, stacked_diamonds):
-    """Stopping each fiber's span at its kernel changes no count."""
+        diamond_counterexample, stacked_diamonds, census_to_twelve):
+    """The histogram equals a plain greedy elimination over all typed rows on
+    every lattice of 2-12 elements and the fixtures.  The reference ranks the
+    D rows beyond the variable shifts of the kept degree-3 rows, where the
+    histogram reads the oracle's degree-4 count, so this checks that the
+    typed diamonds reach that count (typed completeness in degree 4), and
+    that stopping each degree-3 span at its fiber's kernel changes no count.
+    """
     lattices = [diamond_counterexample, stacked_diamonds,
                 overlapping_grids(3, 1, 2, 4)]
-    lattices += [L for L in enumerate_distributive(10) if L.n > 1]
+    lattices += [L for L in census_to_twelve if L.n > 1]
     nonlinear = 0
     for L in lattices:
         I = hibi_ideal(L)
@@ -258,7 +283,7 @@ def test_minimal_histogram_matches_uncapped_reference(
         hist = typed_minimal_histogram(I, gens)
         assert hist == _uncapped_histogram(I, gens)
         nonlinear += hist["diamond"] > 0
-    assert nonlinear == 33  # lattices where the cap decides a diamond count
+    assert nonlinear == 160  # lattices with a degree-4 count to check
 
 
 def test_minimal_histogram_totals_match_oracle():

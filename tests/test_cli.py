@@ -113,6 +113,26 @@ def test_syzygy_histogram(capsys):
     assert "total minimal generators: 52" in out
 
 
+@pytest.mark.parametrize("fixture, histogram", [
+    ("diamond_counterexample",
+     {"strip": 6, "L": 2, "box": 0, "G": 0, "diamond": 3}),
+    ("stacked_diamonds",
+     {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 1}),
+])
+def test_syzygy_nonlinear_file(capsys, lattice_file, request, fixture,
+                               histogram):
+    """On a nonlinear lattice the histogram's degree-4 count reaches the
+    report."""
+    L = request.getfixturevalue(fixture)
+    path = lattice_file({"elements": list(L.labels),
+                         "covers": [list(c) for c in L.covers]})
+    code, out, _ = run(capsys, "syzygy", "--file", path, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["minimal_histogram"] == histogram
+    assert doc["total"] == sum(histogram.values())
+
+
 def test_syzygy_classify_listing(capsys):
     code, out, _ = run(capsys, "syzygy", "--grid", "1", "2", "--classify")
     assert code == 0
