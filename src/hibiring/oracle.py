@@ -122,23 +122,6 @@ def row_rank(rows):
     return RowSpan(rows).rank
 
 
-def module_vec_row(vec):
-    """Flatten a syzygy vector {i: Polynomial} to an integer sparse row over
-    column keys (mu, i), mu the exponent tuple's sorted variables.
-    Denominators are cleared."""
-    row = {}
-    denom = 1
-    for i, p in vec.items():
-        for m, c in p.coeffs.items():
-            d = getattr(c, "denominator", 1)
-            denom = denom * d // gcd(denom, d)
-    for i, p in vec.items():
-        for m, c in p.coeffs.items():
-            mu = tuple(v for v, e in enumerate(m) for _ in range(e))
-            row[(mu, i)] = int(c * denom)
-    return row
-
-
 # -- fibers --------------------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 """First syzygies of the diamond relations.
 
-A syzygy is kept as an integer row {(mu, i): c} over the columns mu * e_i, mu
-a sorted tuple of variables (the row format of oracle); apply_phi substitutes
-each e_i by its binomial and sums in integers.  The Schreyer pairs and the
-module orders work on vectors {generator index: Polynomial coefficient},
-compared with the Schreyer order induced by the generators' leading
-monomials; oracle.module_vec_row turns such a vector into a row.
+A syzygy is an integer row {(mu, i): c} over the columns mu * e_i, mu a
+sorted tuple of variables (the row format of oracle); apply_phi substitutes
+each e_i by its binomial and sums in integers.  Module orders are sort keys on
+columns: position_key (position over term) and schreyer_key (the order the
+generators' leading monomials induce).  s_vector and divide_row work on rows
+under either key, and schreyer_pair reads a row off the reduction of an
+S-polynomial to zero.
 
 Besides the Schreyer S-pair generators, this module constructs the named typed
 generators attached to pairs of diamonds: strip (S1/S2), L, box (B1/B2), the
@@ -14,52 +15,11 @@ diamond type D for element-disjoint pairs.  classify_pair decides which family
 a pair of diamonds falls into from its relation profile.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import (
-    ConditionViolated,
-    HibiError,
-    InconsistentProfile,
-    NotASyzygy,
-)
-from .polynomials import (
-    Polynomial,
-    divide,
-    mono_div,
-    mono_lcm,
-    mono_mul,
-    s_polynomial,
-)
-
-# -- module-element helpers --------------------------------------------------
-
-
-def vec_add(u, v):
-    out = dict(u)
-    for i, p in v.items():
-        q = out.get(i)
-        out[i] = p if q is None else q + p
-    return {i: p for i, p in out.items() if not p.is_zero()}
-
-
-def vec_neg(u):
-    return {i: -p for i, p in u.items()}
-
-
-def vec_sub(u, v):
-    return vec_add(u, vec_neg(v))
-
-
-def vec_mul_term(u, mono, coeff=1):
-    return {i: p.mul_term(mono, coeff) for i, p in u.items()}
-
-
-def vec_is_zero(u):
-    return all(p.is_zero() for p in u.values())
-
-
-def vec_equal_up_to_sign(u, v):
-    return vec_sub(u, v) == {} or vec_add(u, v) == {}
+from .errors import ConditionViolated, HibiError, InconsistentProfile, NotASyzygy
+from .polynomials import QQ, divide, mono_div, mono_lcm, mono_mul, s_polynomial
 
 
 def _binomial(ideal, i):
@@ -83,129 +43,118 @@ def apply_phi(row, ideal):
     return {k: v for k, v in image.items() if v}
 
 
-# -- Schreyer order ----------------------------------------------------------
+# -- module orders and division on rows -----------------------------------------
 
 
-class _ModuleOrder:
-    """A total order on module terms m*e_i given by a sort key term_key."""
-
-    def leading_term(self, vec):
-        """(mono, index, coeff) of the largest module term, or None for 0."""
-        best = None
-        for i, p in vec.items():
-            for m, c in p.coeffs.items():
-                k = self.term_key(m, i)
-                if best is None or k > best[0]:
-                    best = (k, m, i, c)
-        return None if best is None else best[1:]
+def _variables(mono):
+    return tuple(v for v, e in enumerate(mono) for _ in range(e))
 
 
-class SchreyerOrder(_ModuleOrder):
-    """Order on module terms m*e_i: compare in(m*g_i) in the ring order, and
-    break ties by preferring the smaller generator index."""
-
-    def __init__(self, ideal):
-        self.ring_order = ideal.order
-        self.leads = [r.poly.leading_monomial(ideal.order) for r in ideal.relations]
-
-    def term_key(self, mono, i):
-        return (self.ring_order.key(mono_mul(mono, self.leads[i])), -i)
+def position_key(ideal):
+    """Position-over-term sort key of a column (mu, i): later basis vectors
+    first, ties broken by the ring order on mu.  Under it both strip
+    generators of a shared diamond lead on their common third component."""
+    order, n = ideal.order, ideal.lattice.n
+    return lambda col: (col[1], order.key(tuple(map(col[0].count, range(n)))))
 
 
-class PositionOrder(_ModuleOrder):
-    """Position-over-term order on module terms, later basis vectors first;
-    ties within a component broken by the ring order.  Under this order both
-    strip generators of a shared diamond lead on their common third component,
-    which is what makes their S-vector nontrivial."""
-
-    def __init__(self, ideal):
-        self.ring_order = ideal.order
-
-    def term_key(self, mono, i):
-        return (i, self.ring_order.key(mono))
+def schreyer_key(ideal):
+    """Schreyer sort key of a column (mu, i): mu * in(f_i) in the ring order,
+    ties broken by preferring the smaller generator index."""
+    order, n = ideal.order, ideal.lattice.n
+    leads = [r.poly.leading_monomial(order) for r in ideal.relations]
+    return lambda col: (order.key(mono_mul(tuple(map(col[0].count, range(n))),
+                                           leads[col[1]])), -col[1])
 
 
-def schreyer_cmp(sorder, t1, t2):
-    """Compare module terms (mono, index): -1, 0, or 1."""
-    k1, k2 = sorder.term_key(*t1), sorder.term_key(*t2)
-    return (k1 > k2) - (k1 < k2)
+def _without(mu, nu):
+    """The variables of mu, a sorted tuple, less those of nu, each removed as
+    often as nu holds it and mu allows; mu / nu when nu divides mu."""
+    rest = list(mu)
+    for v in nu:
+        if v in rest:
+            rest.remove(v)
+    return tuple(rest)
 
 
-def module_s_vector(u, v, sorder):
-    """S-vector of two module elements whose leading terms share an index."""
-    mu, iu, cu = sorder.leading_term(u)
-    mv, iv, cv = sorder.leading_term(v)
-    if iu != iv:
+def _add_shifted(row, other, nu, c):
+    """row + c * nu * other, zeros dropped."""
+    out = dict(row)
+    for (mu, i), v in other.items():
+        k = (tuple(sorted(mu + nu)), i)
+        out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def s_vector(u, v, key):
+    """(lcm/lt(u)) u - (lcm/lt(v)) v for rows whose leading columns under the
+    sort key lie on one basis vector and lead with 1 or -1."""
+    (mu, i), (nu, j) = max(u, key=key), max(v, key=key)
+    cu, cv = u[mu, i], v[nu, j]
+    if i != j:
         raise HibiError("leading terms lie on different basis vectors")
-    lcm = mono_lcm(mu, mv)
-    field = next(iter(u.values())).field
-    one = field.one
-    return vec_sub(vec_mul_term(u, mono_div(lcm, mu), field.div(one, cu)),
-                   vec_mul_term(v, mono_div(lcm, mv), field.div(one, cv)))
+    if {abs(cu), abs(cv)} != {1}:
+        raise HibiError("leading coefficients must be 1 or -1")
+    return _add_shifted(_add_shifted({}, u, _without(nu, mu), cu),
+                        v, _without(mu, nu), -cv)
 
 
-def module_divide(vec, divisors, sorder):
-    """Division in the free module under the Schreyer order.
-
-    Returns (quotients, remainder); no remainder term is divisible by any
-    divisor's leading term (same index, dividing monomial).
-    """
-    field = None
-    for p in list(vec.values()) + [q for d in divisors for q in d.values()]:
-        field = p.field
-        nvars = p.nvars
-        break
-    if field is None:
-        return [], dict(vec)
-    leads = [sorder.leading_term(d) for d in divisors]
-    quotients = [Polynomial.zero(field, nvars) for _ in divisors]
+def divide_row(row, divisors, key):
+    """(quotients, remainder) with row = remainder + sum of quotients[k] *
+    divisors[k], each quotient a polynomial {nu: c} over sorted variable
+    tuples, and no remainder column divisible by a divisor's leading column
+    (same basis vector, dividing monomial).  The first such divisor is used;
+    its leading coefficient must divide the current one exactly."""
+    leads = [(max(d, key=key), d) for d in divisors]
+    quotients = [{} for _ in divisors]
     remainder = {}
-    work = {i: p for i, p in vec.items() if not p.is_zero()}
+    work = {k: c for k, c in row.items() if c}
     while work:
-        m, i, c = sorder.leading_term(work)
-        for k, (lm, li, lc) in enumerate(leads):
-            if li != i:
-                continue
-            q = mono_div(m, lm)
-            if q is None:
-                continue
-            t = Polynomial.term(field, nvars, q, field.div(c, lc))
-            quotients[k] = quotients[k] + t
-            work = vec_sub(work, vec_mul_term(divisors[k], q, field.div(c, lc)))
-            break
+        mu, i = col = max(work, key=key)
+        for k, ((lm, li), d) in enumerate(leads):
+            nu = _without(mu, lm)
+            if li == i and len(nu) == len(mu) - len(lm):
+                q, r = divmod(work[col], d[lm, li])
+                if r:
+                    raise HibiError(f"{d[lm, li]} does not divide {work[col]}")
+                quotients[k][nu] = quotients[k].get(nu, 0) + q
+                work = _add_shifted(work, d, nu, -q)
+                break
         else:
-            rp = remainder.get(i, Polynomial.zero(field, nvars))
-            remainder[i] = rp + Polynomial.term(field, nvars, m, c)
-            work = vec_sub(work, {i: Polynomial.term(field, nvars, m, c)})
-    return quotients, {i: p for i, p in remainder.items() if not p.is_zero()}
+            remainder[col] = work.pop(col)
+    return [{nu: c for nu, c in q.items() if c} for q in quotients], remainder
 
 
 # -- Schreyer pairs -----------------------------------------------------------
 
 
 def schreyer_pair(i, j, ideal):
-    """The syzygy read off from reducing S(f_i, f_j) to zero.
+    """The syzygy read off from reducing S(f_i, f_j) to zero, as a row.
 
     (lcm/in f_i) e_i - (lcm/in f_j) e_j - sum q_k e_k, where the q_k are the
     division quotients of the S-polynomial against the full generator list.
+    Over the rationals every relation leads with coefficient 1, so each
+    quotient coefficient is a whole number; one that is not raises HibiError.
     """
-    polys = ideal.polys
-    order = ideal.order
-    field = ideal.field
-    nvars = ideal.lattice.n
+    if ideal.field != QQ:
+        raise HibiError("Schreyer pairs are read off over the rationals")
+    polys, order = ideal.polys, ideal.order
     mi = polys[i].leading_monomial(order)
     mj = polys[j].leading_monomial(order)
     lcm = mono_lcm(mi, mj)
-    s = s_polynomial(polys[i], polys[j], order)
-    quotients, r = divide(s, polys, order)
+    quotients, r = divide(s_polynomial(polys[i], polys[j], order), polys, order)
     if not r.is_zero():
         raise HibiError("S-polynomial did not reduce to zero")
-    vec = {i: Polynomial.term(field, nvars, mono_div(lcm, mi)),
-           j: Polynomial.term(field, nvars, mono_div(lcm, mj), -1)}
+    row = {(_variables(mono_div(lcm, mi)), i): 1,
+           (_variables(mono_div(lcm, mj)), j): -1}
     for k, q in enumerate(quotients):
-        if not q.is_zero():
-            vec = vec_sub(vec, {k: q})
-    return {k: p for k, p in vec.items() if not p.is_zero()}
+        for m, c in q.coeffs.items():
+            if Fraction(c).denominator != 1:
+                raise HibiError(f"quotient coefficient {c} of S({i}, {j}) "
+                                "is not a whole number")
+            col = (_variables(m), k)
+            row[col] = row.get(col, 0) - int(c)
+    return {col: c for col, c in row.items() if c}
 
 
 # -- pair classification -------------------------------------------------------
@@ -289,18 +238,6 @@ class TypedSyzygy:
     kind: str
     row: dict
     witness: tuple
-    ideal: object = field(compare=False, repr=False)
-
-    @property
-    def element(self):
-        """The row as a module vector {i: Polynomial}, built on each access."""
-        I = self.ideal
-        n = I.lattice.n
-        vec = {}
-        for (mu, i), c in self.row.items():
-            t = Polynomial.term(I.field, n, tuple(map(mu.count, range(n))), c)
-            vec[i] = vec[i] + t if i in vec else t
-        return vec
 
 
 FINE_KINDS = ("S1", "S2", "L", "B1", "B2",
@@ -428,32 +365,32 @@ def typed_generator(ideal, kind, witness):
         row = {k: c for k, c in row.items() if c}
     if apply_phi(row, ideal):
         raise NotASyzygy(kind, witness, [L.labels[v] for v in witness])
-    return TypedSyzygy(kind, row, witness, ideal)
+    return TypedSyzygy(kind, row, witness)
 
 
-def typed_generators_for_pair(ideal, p1, p2):
-    """All typed generators attached to a pair of diamonds, classified.
+def _family_generators(ideal, family, witness):
+    """The typed generators of a classified family on its witness.
 
     When an auxiliary pair a formula references collapses to a comparable
     one, its relation is identically zero and the term drops out; an element
     that degenerates to zero entirely is omitted.
     """
-    family, witness = classify_full(ideal.lattice, p1, p2)
-    out = []
-    for fine in _FAMILY_TO_FINE[family]:
-        t = typed_generator(ideal, fine, witness)
-        if t.row:
-            out.append(t)
-    return out
+    gens = (typed_generator(ideal, f, witness) for f in _FAMILY_TO_FINE[family])
+    return [t for t in gens if t.row]
+
+
+def typed_generators_for_pair(ideal, p1, p2):
+    """All typed generators attached to a pair of diamonds, classified."""
+    return _family_generators(ideal, *classify_full(ideal.lattice, p1, p2))
 
 
 def all_typed_generators(ideal):
+    """The typed generators of every pair of diamonds, each (family, witness)
+    built once: a strip pair and its dual configuration share a witness."""
     pairs = [r.pair for r in ideal.relations]
-    out = []
-    for i in range(len(pairs)):
-        for k in range(i + 1, len(pairs)):
-            out.extend(typed_generators_for_pair(ideal, pairs[i], pairs[k]))
-    return out
+    classified = dict.fromkeys(classify_full(ideal.lattice, p, q)
+                               for k, p in enumerate(pairs) for q in pairs[k + 1:])
+    return [t for fw in classified for t in _family_generators(ideal, *fw)]
 
 
 # -- diamond comparability and reducibility -------------------------------------

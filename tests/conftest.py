@@ -12,6 +12,53 @@ def chain(k):
                        [(i, i + 1) for i in range(k - 1)])
 
 
+def row(ideal, *terms):
+    """The row of sign * x_v * e_{(a, b)} summed over the terms
+    (a, b, v, sign), elements and variables numbered from 1; e_{(a, b)} is the
+    basis vector of the relation of the pair {a, b}."""
+    out = {}
+    for a, b, v, sign in terms:
+        key = (a - 1, b - 1) if (a - 1, b - 1) in ideal.index_of else (b - 1, a - 1)
+        col = ((v - 1,), ideal.index_of[key])
+        out[col] = out.get(col, 0) + sign
+    return {col: c for col, c in out.items() if c}
+
+
+def combine(*terms):
+    """The row sum of c * x_nu * r over the terms (r, nu, c), nu a sorted
+    tuple of variables numbered from 0; zeros dropped."""
+    out = {}
+    for r, nu, c in terms:
+        for (mu, i), v in r.items():
+            col = (tuple(sorted(mu + nu)), i)
+            out[col] = out.get(col, 0) + c * v
+    return {col: v for col, v in out.items() if v}
+
+
+def signs(r):
+    """A row and its negative."""
+    return r, {col: -c for col, c in r.items()}
+
+
+# The five degree-3 syzygies of bridged_diamonds whose combination with the
+# multipliers (variable, sign) is the diamond syzygy of the pairs (2,3) and
+# (11,12), as row() terms.
+BRIDGED_GROUPS = (
+    ((2, 3, 12, 1), (2, 8, 6, -1), (6, 8, 2, 1), (6, 10, 1, -1)),
+    ((2, 3, 9, 1), (2, 5, 6, -1), (5, 6, 2, 1), (6, 7, 1, -1)),
+    ((2, 5, 13, 1), (2, 8, 11, -1), (8, 11, 2, 1), (10, 11, 1, -1)),
+    ((5, 6, 13, 1), (6, 8, 11, -1), (8, 11, 6, 1), (11, 12, 3, -1)),
+    ((6, 7, 13, 1), (6, 10, 11, -1), (10, 11, 6, 1), (11, 12, 4, -1)),
+)
+BRIDGED_MULTIPLIERS = ((11, 1), (13, -1), (6, -1), (2, 1), (1, -1))
+
+
+def bridged_combination(groups, multipliers):
+    """The sum of sign * x_v * group over the groups and their multipliers."""
+    return combine(*[(g, (v - 1,), sign)
+                     for g, (v, sign) in zip(groups, multipliers)])
+
+
 @pytest.fixture(scope="session")
 def stacked_diamonds():
     """Seven elements: two diamonds where the join of the lower pair is the

@@ -5,7 +5,14 @@ import time
 
 import pytest
 
-from conftest import overlapping_grids
+from conftest import (
+    BRIDGED_GROUPS,
+    BRIDGED_MULTIPLIERS,
+    bridged_combination,
+    overlapping_grids,
+    row,
+    signs,
+)
 from hibiring import enumerate_distributive, grid
 from hibiring.betti import grid_betti, planar_linearity, strip_1d
 from hibiring.errors import HibiError
@@ -15,21 +22,15 @@ from hibiring.oracle import (
     graded_betti_oracle,
     is_linear_first_syzygy,
     kernel_dim,
-    module_vec_row,
     row_rank,
 )
 from hibiring.syzygy import (
-    PositionOrder,
     all_typed_generators,
     apply_phi,
-    module_divide,
-    module_s_vector,
+    divide_row,
+    position_key,
+    s_vector,
     typed_generator,
-    vec_add,
-    vec_equal_up_to_sign,
-    vec_is_zero,
-    vec_mul_term,
-    vec_sub,
 )
 
 
@@ -49,28 +50,16 @@ def test_2_strip_lemma_instance():
     elements up to sign, and oracle first Betti number 2, all in degree 3."""
     I = hibi_ideal(grid(1, 2))
     strips = [t for t in all_typed_generators(I) if t.kind in ("S1", "S2")]
-    # both strip-configured diamond pairs normalize to the same witness, so
-    # exactly two distinct elements arise
+    # both strip-configured diamond pairs normalize to the same witness, on
+    # which the two elements are built once
+    assert len(strips) == 2
     assert {t.witness for t in strips} == {(1, 2, 4)}
     assert {t.kind for t in strips} == {"S1", "S2"}
-    s1 = next(t.element for t in strips if t.kind == "S1")
-    s2 = next(t.element for t in strips if t.kind == "S2")
-    for t in strips:
-        assert vec_equal_up_to_sign(
-            t.element, s1 if t.kind == "S1" else s2)
-
-    def vec(*terms):
-        out = {}
-        for a, b, v, sign in terms:
-            key = (a, b) if (a, b) in I.index_of else (b, a)
-            from hibiring.polynomials import Polynomial
-            out = vec_add(out, {I.index_of[key]: Polynomial.term(
-                I.field, 6, tuple(1 if k == v else 0 for k in range(6)), sign)})
-        return out
-
+    s1 = next(t.row for t in strips if t.kind == "S1")
+    s2 = next(t.row for t in strips if t.kind == "S2")
     # x5*g(2,3) - x3*g(2,5) + x1*g(4,5) and -x6*g(2,3) + x4*g(2,5) - x2*g(4,5)
-    assert vec_equal_up_to_sign(s1, vec((1, 2, 4, 1), (1, 4, 2, -1), (3, 4, 0, 1)))
-    assert vec_equal_up_to_sign(s2, vec((1, 2, 5, -1), (1, 4, 3, 1), (3, 4, 1, -1)))
+    assert s1 in signs(row(I, (2, 3, 5, 1), (2, 5, 3, -1), (4, 5, 1, 1)))
+    assert s2 in signs(row(I, (2, 3, 6, -1), (2, 5, 4, 1), (4, 5, 2, -1)))
     rows = graded_betti_oracle(hibi_ideal(grid(1, 2)))
     assert [(r.degree, r.minimal_generators) for r in rows] == [(3, 2), (4, 0)]
 
@@ -172,12 +161,12 @@ def test_8_strip_pair_is_not_groebner():
     module they generate: their S-vector fails to reduce to zero against
     them."""
     I = hibi_ideal(grid(1, 2))
-    s1 = typed_generator(I, "S1", (1, 2, 4)).element
-    s2 = typed_generator(I, "S2", (1, 2, 4)).element
-    order = PositionOrder(I)
-    s = module_s_vector(s1, s2, order)
-    _, remainder = module_divide(s, [s1, s2], order)
-    assert not vec_is_zero(remainder)
+    s1 = typed_generator(I, "S1", (1, 2, 4)).row
+    s2 = typed_generator(I, "S2", (1, 2, 4)).row
+    key = position_key(I)
+    s = s_vector(s1, s2, key)
+    _, remainder = divide_row(s, [s1, s2], key)
+    assert remainder
 
 
 def test_9_bridged_diamond_reduction(bridged_diamonds):
@@ -185,33 +174,9 @@ def test_9_bridged_diamond_reduction(bridged_diamonds):
     (2,3) and (11,12) equals an explicit combination of five degree-3
     syzygies, each individually satisfying phi = 0."""
     I = hibi_ideal(bridged_diamonds)
-    n = 13
-
-    def vec(*terms):
-        from hibiring.polynomials import Polynomial
-        out = {}
-        for a, b, v, sign in terms:
-            key = ((a - 1, b - 1) if (a - 1, b - 1) in I.index_of
-                   else (b - 1, a - 1))
-            out = vec_add(out, {I.index_of[key]: Polynomial.term(
-                I.field, n, tuple(1 if k == v - 1 else 0 for k in range(n)),
-                sign)})
-        return out
-
-    groups = [
-        vec((2, 3, 12, 1), (2, 8, 6, -1), (6, 8, 2, 1), (6, 10, 1, -1)),
-        vec((2, 3, 9, 1), (2, 5, 6, -1), (5, 6, 2, 1), (6, 7, 1, -1)),
-        vec((2, 5, 13, 1), (2, 8, 11, -1), (8, 11, 2, 1), (10, 11, 1, -1)),
-        vec((5, 6, 13, 1), (6, 8, 11, -1), (8, 11, 6, 1), (11, 12, 3, -1)),
-        vec((6, 7, 13, 1), (6, 10, 11, -1), (10, 11, 6, 1), (11, 12, 4, -1)),
-    ]
+    groups = [row(I, *terms) for terms in BRIDGED_GROUPS]
     assert len(groups) == 5  # five bracketed terms, not four
     for g in groups:
-        assert apply_phi(module_vec_row(g), I) == {}
-    multipliers = [(11, 1), (13, -1), (6, -1), (2, 1), (1, -1)]
-    rhs = {}
-    for (v, sign), g in zip(multipliers, groups):
-        mono = tuple(1 if k == v - 1 else 0 for k in range(n))
-        rhs = vec_add(rhs, vec_mul_term(g, mono, sign))
+        assert apply_phi(g, I) == {}
     d = typed_generator(I, "D", (1, 2, 10, 11))
-    assert vec_is_zero(vec_sub(rhs, d.element))
+    assert bridged_combination(groups, BRIDGED_MULTIPLIERS) == d.row

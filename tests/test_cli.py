@@ -136,7 +136,7 @@ def test_syzygy_nonlinear_file(capsys, lattice_file, request, fixture,
 def test_syzygy_classify_listing(capsys):
     code, out, _ = run(capsys, "syzygy", "--grid", "1", "2", "--classify")
     assert code == 0
-    assert out.count("S1 witness") == 2
+    assert out.count("S1 witness") == 1
     assert out.count("D witness") == 1
 
 
@@ -256,7 +256,7 @@ def test_syzygy_verify_applies_phi_once(capsys, count_calls):
     assert code == 0
     doc = json.loads(out)
     assert doc["verified"] is True
-    assert len(calls) == len(doc["generators"]) == 197
+    assert len(calls) == len(doc["generators"]) == 161
 
 
 def test_syzygy_verify_makes_no_polynomial_product(capsys, monkeypatch):
@@ -271,7 +271,7 @@ def test_syzygy_verify_makes_no_polynomial_product(capsys, monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     code, out, _ = run(capsys, "syzygy", "--grid", "2", "3", "--verify")
     assert code == 0
-    assert "all 197 typed generators verified as syzygies" in out
+    assert "all 161 typed generators verified as syzygies" in out
     assert calls == []
     x = Polynomial.variable(QQ, 1, 0)
     x * x  # the counter is live

@@ -1,0 +1,67 @@
+"""The package's import layering: intra-package imports run one way, from
+errors and polynomials up through lattice, ideal, syzygy and oracle, betti
+to cli, and no module imports another module's private names."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hibiring"
+
+# A module may import only modules of a strictly lower layer; __init__ is the
+# package's face and may import any of them.
+LAYER = {"errors": 0, "polynomials": 1, "lattice": 2, "ideal": 3,
+         "syzygy": 4, "oracle": 4, "betti": 5, "cli": 6}
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _imports(name):
+    """(module imported, names taken from it, line) for each intra-package
+    import of the module, and the local names the imported modules are bound
+    to."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imports, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import module
+                for a in node.names:
+                    imports.append((a.name, [], node.lineno))
+                    aliases[a.asname or a.name] = a.name
+            else:
+                imports.append((node.module, [a.name for a in node.names],
+                                node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.level > 1:
+            imports.append(("..", [], node.lineno))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.partition(".")[0] == "hibiring":
+                    imports.append((a.name, [], node.lineno))
+    return tree, imports, aliases
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(LAYER)
+
+
+def test_imports_run_one_way():
+    wrong = []
+    for name in MODULES:
+        for module, _, line in _imports(name)[1]:
+            if LAYER.get(module, LAYER[name]) >= LAYER[name]:
+                wrong.append(f"{name}.py:{line} imports {module}")
+    assert wrong == []
+
+
+def test_no_private_imports():
+    wrong = []
+    for name in MODULES + ["__init__"]:
+        tree, imports, aliases = _imports(name)
+        for module, names, line in imports:
+            wrong += [f"{name}.py:{line} imports {n} from {module}"
+                      for n in names if n.startswith("_")]
+        wrong += [f"{name}.py:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases]
+    assert wrong == []

@@ -17,7 +17,6 @@ from hibiring.oracle import (
     graded_betti_row,
     is_linear_first_syzygy,
     kernel_dim,
-    module_vec_row,
     reduced_h1,
     row_rank,
     shape_faces,
@@ -182,14 +181,6 @@ def test_oracle_computes_h1_once_per_shape(count_calls):
     calls = count_calls(oracle, "reduced_h1")
     assert first_betti_oracle(hibi_ideal(grid(4, 5))) == 1500
     assert len(calls) <= 600
-
-
-def test_module_vec_row_clears_denominators():
-    from hibiring.polynomials import QQ, Polynomial
-    half = Polynomial(QQ, 2, {(1, 0): Fraction(1, 2)})
-    third = Polynomial(QQ, 2, {(0, 1): Fraction(-1, 3)})
-    row = module_vec_row({0: half, 1: third})
-    assert row == {((0,), 0): 3, ((1,), 1): -2}
 
 
 def test_row_rank_simple():

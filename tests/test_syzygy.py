@@ -1,61 +1,38 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain
-from hibiring import enumerate_distributive, grid
+from conftest import (
+    BRIDGED_GROUPS,
+    BRIDGED_MULTIPLIERS,
+    bridged_combination,
+    combine,
+    row,
+    signs,
+)
+from hibiring import enumerate_distributive, grid, syzygy
 from hibiring.errors import ConditionViolated, HibiError
 from hibiring.ideal import hibi_ideal
-from hibiring.oracle import kernel_dim, module_vec_row, row_rank
-from hibiring.polynomials import QQ, Polynomial
+from hibiring.oracle import fiber_codes, kernel_dim, row_rank
+from hibiring.polynomials import QQ, Polynomial, PrimeField
 from hibiring.syzygy import (
-    PositionOrder,
-    SchreyerOrder,
     all_typed_generators,
     apply_phi,
     classify_pair,
     diamond_comparable,
     diamond_reducible,
-    module_divide,
-    module_s_vector,
-    schreyer_cmp,
+    divide_row,
+    position_key,
+    s_vector,
+    schreyer_key,
     schreyer_pair,
     typed_generator,
     typed_generators_for_pair,
-    vec_add,
-    vec_equal_up_to_sign,
-    vec_is_zero,
-    vec_mul_term,
-    vec_sub,
 )
 
 CENSUS = list(enumerate_distributive(8))
-
-
-def _vec(ideal, *terms):
-    """Module vector from (a, b, variable, sign) terms using 1-based labels."""
-    n = ideal.lattice.n
-    out = {}
-    for a, b, v, sign in terms:
-        key = (a - 1, b - 1) if (a - 1, b - 1) in ideal.index_of else (b - 1, a - 1)
-        t = {ideal.index_of[key]: Polynomial.term(
-            ideal.field, n, tuple(1 if k == v - 1 else 0 for k in range(n)), sign)}
-        out = vec_add(out, t)
-    return out
-
-
-# -- vector helpers ------------------------------------------------------------
-
-
-def test_vec_arithmetic():
-    I = hibi_ideal(grid(1, 2))
-    u = _vec(I, (2, 3, 5, 1))
-    v = _vec(I, (2, 5, 3, -1))
-    assert vec_is_zero(vec_sub(vec_add(u, v), vec_add(v, u)))
-    assert vec_equal_up_to_sign(u, {i: -p for i, p in u.items()})
-    assert not vec_equal_up_to_sign(u, v)
-    shifted = vec_mul_term(u, (1, 0, 0, 0, 0, 0))
-    assert next(iter(shifted.values())).degree() == 2
 
 
 # -- Schreyer pairs ------------------------------------------------------------
@@ -66,8 +43,7 @@ def test_schreyer_pair_is_syzygy():
         I = hibi_ideal(L)
         for i in range(len(I)):
             for j in range(i + 1, len(I)):
-                row = module_vec_row(schreyer_pair(i, j, I))
-                assert apply_phi(row, I) == {}
+                assert apply_phi(schreyer_pair(i, j, I), I) == {}
 
 
 def test_schreyer_pairs_span_kernel():
@@ -75,7 +51,7 @@ def test_schreyer_pairs_span_kernel():
         I = hibi_ideal(L)
         if len(I) < 2:
             continue
-        rows = [module_vec_row(schreyer_pair(i, j, I))
+        rows = [schreyer_pair(i, j, I)
                 for i in range(len(I)) for j in range(i + 1, len(I))]
         # Schreyer's generators span all syzygies; in particular all of
         # degrees 3 and 4 graded by total degree
@@ -84,17 +60,30 @@ def test_schreyer_pairs_span_kernel():
         assert row_rank(deg3) == kernel_dim(I, 3)
 
 
+def test_schreyer_pair_rejects_fractional_quotient(monkeypatch):
+    """Quotient coefficients are converted to integers exactly: a fraction
+    raises instead of being truncated or scaled away, and so does a ring
+    over a prime field."""
+    I = hibi_ideal(grid(1, 2))
+    half = Polynomial(QQ, 6, {(1, 0, 0, 0, 0, 0): Fraction(1, 2)})
+    zero = Polynomial.zero(QQ, 6)
+    monkeypatch.setattr(syzygy, "divide",
+                        lambda s, polys, order: ([half, zero, zero], zero))
+    with pytest.raises(HibiError, match="not a whole number"):
+        schreyer_pair(0, 1, I)
+    with pytest.raises(HibiError, match="rationals"):
+        schreyer_pair(0, 1, hibi_ideal(grid(1, 2), PrimeField(101)))
+
+
 def test_schreyer_order_leading_terms():
     I = hibi_ideal(grid(1, 2))
-    so = SchreyerOrder(I)
+    key = schreyer_key(I)
     # x1*e0 vs x1*e1: in(x1*g0) = x1x2x3 > x1x2x5 = in(x1*g1), since lower
     # lattice elements are larger variables
-    x1 = (1, 0, 0, 0, 0, 0)
-    assert schreyer_cmp(so, (x1, 0), (x1, 1)) == 1
+    assert key(((0,), 0)) > key(((0,), 1))
     # same component: ring order decides
-    x3 = (0, 0, 1, 0, 0, 0)
-    assert schreyer_cmp(so, (x1, 0), (x3, 0)) == 1
-    assert schreyer_cmp(so, (x1, 0), (x1, 0)) == 0
+    assert key(((0,), 0)) > key(((2,), 0))
+    assert key(((0,), 0)) == key(((0,), 0))
 
 
 # -- classification ------------------------------------------------------------
@@ -120,7 +109,8 @@ def test_classification_histogram_grid_2_3():
     counts = {}
     for t in all_typed_generators(I):
         counts[t.kind] = counts.get(t.kind, 0) + 1
-    assert counts == {"S1": 36, "S2": 36, "L": 8, "B1": 8, "B2": 8,
+    # one S1 and one S2 per strip witness, though two diamond pairs give each
+    assert counts == {"S1": 18, "S2": 18, "L": 8, "B1": 8, "B2": 8,
                       "G": 4, "D": 97}
 
 
@@ -195,8 +185,7 @@ def test_typed_span_equals_kernel_census():
     for L in CENSUS:
         I = hibi_ideal(L)
         gens = all_typed_generators(I)
-        deg3 = [module_vec_row(t.element) for t in gens
-                if next(iter(t.element.values())).degree() == 1]
+        deg3 = [t.row for t in gens if len(next(iter(t.row))[0]) == 1]
         assert row_rank(deg3) == kernel_dim(I, 3)
 
 
@@ -204,10 +193,10 @@ def test_strip_pair_matches_worked_example():
     I = hibi_ideal(grid(1, 2))
     s1 = typed_generator(I, "S1", (1, 2, 4))  # witness a=x2, b1=x3, b2=x5
     s2 = typed_generator(I, "S2", (1, 2, 4))
-    expected1 = _vec(I, (2, 3, 5, 1), (2, 5, 3, -1), (4, 5, 1, 1))
-    expected2 = _vec(I, (2, 3, 6, -1), (2, 5, 4, 1), (4, 5, 2, -1))
-    assert vec_equal_up_to_sign(s1.element, expected1)
-    assert vec_equal_up_to_sign(s2.element, expected2)
+    expected1 = row(I, (2, 3, 5, 1), (2, 5, 3, -1), (4, 5, 1, 1))
+    expected2 = row(I, (2, 3, 6, -1), (2, 5, 4, 1), (4, 5, 2, -1))
+    assert s1.row in signs(expected1)
+    assert s2.row in signs(expected2)
 
 
 def test_degenerate_terms_drop_out():
@@ -220,7 +209,7 @@ def test_degenerate_terms_drop_out():
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 for t in typed_generators_for_pair(I, pairs[i], pairs[j]):
-                    assert t.element  # empty elements are omitted
+                    assert t.row  # empty elements are omitted
                     assert apply_phi(t.row, I) == {}
 
 
@@ -277,129 +266,108 @@ def test_strip_pair_not_groebner_in_module():
     syzygy module they generate: their S-vector does not reduce to zero
     against them under the position-over-term order."""
     I = hibi_ideal(grid(1, 2))
-    s1 = typed_generator(I, "S1", (1, 2, 4)).element
-    s2 = typed_generator(I, "S2", (1, 2, 4)).element
-    order = PositionOrder(I)
+    s1 = typed_generator(I, "S1", (1, 2, 4)).row
+    s2 = typed_generator(I, "S2", (1, 2, 4)).row
+    key = position_key(I)
     # both lead on their shared third component
-    assert order.leading_term(s1)[1] == order.leading_term(s2)[1] == 2
-    s = module_s_vector(s1, s2, order)
-    assert not vec_is_zero(s)
-    quotients, remainder = module_divide(s, [s1, s2], order)
-    assert not vec_is_zero(remainder)
+    assert max(s1, key=key)[1] == max(s2, key=key)[1] == 2
+    s = s_vector(s1, s2, key)
+    assert s
+    quotients, remainder = divide_row(s, [s1, s2], key)
+    assert remainder
     # the S-vector is itself irreducible: nothing was subtracted at all
-    assert all(q.is_zero() for q in quotients)
-    assert vec_equal_up_to_sign(remainder, s)
+    assert quotients == [{}, {}]
+    assert remainder == s
 
 
 def test_strip_pair_s_vector_value():
     I = hibi_ideal(grid(1, 2))
-    s1 = typed_generator(I, "S1", (1, 2, 4)).element
-    s2 = typed_generator(I, "S2", (1, 2, 4)).element
-    s = module_s_vector(s1, s2, PositionOrder(I))
-    x = lambda v: Polynomial.variable(QQ, 6, v - 1)
-    expected = {0: x(2) * x(5) - x(1) * x(6), 1: -(x(2) * x(3)) + x(1) * x(4)}
-    assert vec_equal_up_to_sign(s, expected)
-    assert apply_phi(module_vec_row(s), I) == {}
+    s1 = typed_generator(I, "S1", (1, 2, 4)).row
+    s2 = typed_generator(I, "S2", (1, 2, 4)).row
+    s = s_vector(s1, s2, position_key(I))
+    # (x2 x5 - x1 x6) e_0 + (x1 x4 - x2 x3) e_1
+    assert s == {((1, 4), 0): 1, ((0, 5), 0): -1,
+                 ((1, 2), 1): -1, ((0, 3), 1): 1}
+    assert apply_phi(s, I) == {}
 
 
 def test_true_schreyer_leads_differ():
     """Under the order induced by the ring leading monomials, the two strip
     generators lead on different components, so no S-vector is defined."""
     I = hibi_ideal(grid(1, 2))
-    s1 = typed_generator(I, "S1", (1, 2, 4)).element
-    s2 = typed_generator(I, "S2", (1, 2, 4)).element
-    order = SchreyerOrder(I)
-    assert order.leading_term(s1)[1] != order.leading_term(s2)[1]
+    s1 = typed_generator(I, "S1", (1, 2, 4)).row
+    s2 = typed_generator(I, "S2", (1, 2, 4)).row
+    key = schreyer_key(I)
+    assert max(s1, key=key)[1] != max(s2, key=key)[1]
     with pytest.raises(HibiError):
-        module_s_vector(s1, s2, order)
+        s_vector(s1, s2, key)
 
 
-# -- module division invariants ------------------------------------------------
+# -- row division invariants ---------------------------------------------------
 
 
-def test_module_divide_reconstruction():
+def test_divide_row_reconstruction():
     I = hibi_ideal(grid(2, 2))
-    gens = [t.element for t in all_typed_generators(I)
-            if t.kind in ("S1", "S2")]
-    order = SchreyerOrder(I)
-    target = vec_add(vec_mul_term(gens[0], (1, 0, 0, 0, 0, 0, 0, 0, 0)),
-                     gens[-1])
-    quotients, remainder = module_divide(target, gens, order)
-    rebuilt = dict(remainder)
-    for q, g in zip(quotients, gens):
-        for m, c in q.coeffs.items():
-            rebuilt = vec_add(rebuilt, vec_mul_term(g, m, c))
-    assert vec_is_zero(vec_sub(rebuilt, target))
+    gens = [t.row for t in all_typed_generators(I) if t.kind in ("S1", "S2")]
+    target = combine((gens[0], (0,), 1), (gens[-1], (), 1))
+    quotients, remainder = divide_row(target, gens, schreyer_key(I))
+    rebuilt = combine((remainder, (), 1),
+                      *[(g, nu, c) for q, g in zip(quotients, gens)
+                        for nu, c in q.items()])
+    assert rebuilt == target
 
 
-def test_module_divide_zero_input():
-    quotients, remainder = module_divide({}, [], SchreyerOrder(hibi_ideal(grid(1, 1))))
+def test_divide_row_zero_input():
+    quotients, remainder = divide_row({}, [], schreyer_key(hibi_ideal(grid(1, 1))))
     assert quotients == [] and remainder == {}
 
 
 # -- the bridged-diamond identity ---------------------------------------------
 
 
-def _l_groups(I):
-    """The five degree-3 syzygies whose combination expresses the bridged
-    diamond syzygy, with their multipliers (variable, sign)."""
-    groups = [
-        _vec(I, (2, 3, 12, 1), (2, 8, 6, -1), (6, 8, 2, 1), (6, 10, 1, -1)),
-        _vec(I, (2, 3, 9, 1), (2, 5, 6, -1), (5, 6, 2, 1), (6, 7, 1, -1)),
-        _vec(I, (2, 5, 13, 1), (2, 8, 11, -1), (8, 11, 2, 1), (10, 11, 1, -1)),
-        _vec(I, (5, 6, 13, 1), (6, 8, 11, -1), (8, 11, 6, 1), (11, 12, 3, -1)),
-        _vec(I, (6, 7, 13, 1), (6, 10, 11, -1), (10, 11, 6, 1), (11, 12, 4, -1)),
-    ]
-    multipliers = [(11, 1), (13, -1), (6, -1), (2, 1), (1, -1)]
-    return groups, multipliers
-
-
 def test_bridged_diamond_identity(bridged_diamonds):
     I = hibi_ideal(bridged_diamonds)
-    groups, multipliers = _l_groups(I)
+    groups = [row(I, *terms) for terms in BRIDGED_GROUPS]
     assert len(groups) == 5
     for g in groups:
-        assert apply_phi(module_vec_row(g), I) == {}
-    n = bridged_diamonds.n
-    rhs = {}
-    for (v, sign), g in zip(multipliers, groups):
-        mono = tuple(1 if k == v - 1 else 0 for k in range(n))
-        rhs = vec_add(rhs, vec_mul_term(g, mono, sign))
+        assert apply_phi(g, I) == {}
     d = typed_generator(I, "D", (1, 2, 10, 11))
-    assert vec_is_zero(vec_sub(rhs, d.element))
+    assert bridged_combination(groups, BRIDGED_MULTIPLIERS) == d.row
 
 
 def test_bridged_diamond_identity_flipped_sign_fails(bridged_diamonds):
     # with +1 on the third multiplier instead of -1 the combination misses
     # the diamond element by exactly twice that group
     I = hibi_ideal(bridged_diamonds)
-    groups, multipliers = _l_groups(I)
-    multipliers = list(multipliers)
+    groups = [row(I, *terms) for terms in BRIDGED_GROUPS]
+    multipliers = list(BRIDGED_MULTIPLIERS)
     multipliers[2] = (6, 1)
-    n = bridged_diamonds.n
-    rhs = {}
-    for (v, sign), g in zip(multipliers, groups):
-        mono = tuple(1 if k == v - 1 else 0 for k in range(n))
-        rhs = vec_add(rhs, vec_mul_term(g, mono, sign))
+    rhs = bridged_combination(groups, multipliers)
     d = typed_generator(I, "D", (1, 2, 10, 11))
-    diff = vec_sub(rhs, d.element)
-    x6 = tuple(1 if k == 5 else 0 for k in range(n))
-    assert vec_is_zero(vec_sub(diff, vec_mul_term(groups[2], x6, 2)))
+    assert rhs != d.row
+    assert rhs == combine((d.row, (), 1), (groups[2], (5,), 2))
 
 
 # -- property tests ------------------------------------------------------------
 
 
-@given(st.sampled_from([L for L in CENSUS if len(L.incomparable_pairs()) >= 2]))
-@settings(max_examples=25, deadline=None)
-def test_typed_generators_homogeneous(L):
-    I = hibi_ideal(L)
-    for t in all_typed_generators(I):
-        degs = {p.degree() for p in t.element.values()}
-        assert len(degs) == 1
-        assert degs <= {1, 2}
-        for p in t.element.values():
-            assert p.is_homogeneous()
+def test_typed_generators_homogeneous():
+    """Every typed row is multihomogeneous, on all of census <= 8: its columns
+    (mu, i) share one degree len(mu) + 2, 3 or 4, and one fiber, the code of
+    mu * x_a x_b for (a, b) the pair of relation i."""
+    checked = 0
+    for L in CENSUS:
+        I = hibi_ideal(L)
+        pairs = [r.pair for r in I.relations]
+        codes = {d: fiber_codes(L, d) for d in (3, 4)}
+        for t in all_typed_generators(I):
+            degrees = {len(mu) + 2 for mu, _ in t.row}
+            assert len(degrees) == 1 and degrees <= {3, 4}
+            code = codes[degrees.pop()]
+            fibers = {sum(code[v] for v in mu + pairs[i]) for mu, i in t.row}
+            assert len(fibers) == 1
+            checked += 1
+    assert checked > 0
 
 
 @given(st.sampled_from(CENSUS), st.data())
