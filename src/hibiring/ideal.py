@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from . import polynomials as pa
 from .errors import NotGroebner
-from .polynomials import QQ, Polynomial, RevLex, divide, s_polynomial
+from .polynomials import (QQ, DivisorIndex, Polynomial, RevLex, divide,
+                          s_polynomial)
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,15 @@ def buchberger_check(ideal):
     criterion their S-polynomials have a standard representation, so with the
     checked remainders all zero the generators are a Groebner basis (see the
     module docstring).  The leads are read from the polynomials themselves, so
-    a relation whose lead was changed is paired by its actual lead.  Raises
-    NotGroebner naming the first checked pair that leaves a remainder.
+    a relation whose lead was changed is paired by its actual lead, and
+    reduced against the actual leads: every reduction uses one DivisorIndex
+    of the generator list, built here.  Raises NotGroebner naming the first
+    checked pair that leaves a remainder.
     """
     polys = ideal.polys
     order = ideal.order
-    leads = [p.leading_monomial(order) for p in polys]
+    index = DivisorIndex(polys, order)
+    leads = [lm for lm, _ in index.leads]
     checked = skipped = 0
     max_terms = 0
     for i in range(len(polys)):
@@ -125,7 +129,7 @@ def buchberger_check(ideal):
                 continue
             s = s_polynomial(polys[i], polys[j], order)
             max_terms = max(max_terms, len(s.coeffs))
-            _, r = divide(s, polys, order)
+            _, r = divide(s, index, order)
             checked += 1
             if not r.is_zero():
                 raise NotGroebner((ideal.relations[i].pair, ideal.relations[j].pair))

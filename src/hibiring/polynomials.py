@@ -276,35 +276,38 @@ class Polynomial:
         return f"Polynomial({self.render(names)})"
 
 
-def divide(f, divisors, order):
-    """Multivariate division: f = sum q_i * divisors_i + r.
+class DivisorIndex:
+    """The leading terms of a divisor list under one order, indexed for
+    division.
 
-    Returns (quotients, remainder) with no remainder monomial divisible by any
-    divisor's leading monomial.  Deterministic: at each step the first divisor
-    in the list whose leading monomial divides the current leading monomial is
-    used.
-
-    Divisors are indexed by one variable of their lead, so a step tests only
-    those whose lead can divide the current monomial; each bucket is in list
-    order, and the smallest dividing index over the buckets is the first
-    divisor in the list.
+    Divisors with a constant lead divide every monomial; the others are
+    bucketed under one variable of their lead (the first of largest
+    exponent), so a division step tests only the buckets of the variables of
+    the current monomial.  Each bucket is in list order.  The leads are read
+    from the polynomials once, when the index is built; polynomials are
+    immutable, so the index stays valid.
     """
-    fld = f.field
-    nvars = f.nvars
-    quotients = [Polynomial.zero(fld, nvars)] * len(divisors)
-    remainder = {}
-    leads = [g.leading_term(order) for g in divisors]
-    constant = []  # divisors with a constant lead divide every monomial
-    by_var = {}
-    for i, (lm, _) in enumerate(leads):
-        if any(lm):
-            by_var.setdefault(lm.index(max(lm)), []).append(i)
-        else:
-            constant.append(i)
-    work = f
-    while not work.is_zero():
-        m, c = work.leading_term(order)
-        best = constant[0] if constant else len(leads)
+
+    __slots__ = ("divisors", "order", "leads", "constant", "by_var")
+
+    def __init__(self, divisors, order):
+        self.divisors = list(divisors)
+        self.order = order
+        self.leads = [g.leading_term(order) for g in self.divisors]
+        self.constant = []
+        self.by_var = {}
+        for i, (lm, _) in enumerate(self.leads):
+            if any(lm):
+                self.by_var.setdefault(lm.index(max(lm)), []).append(i)
+            else:
+                self.constant.append(i)
+
+    def first_divisor(self, m):
+        """The smallest list index whose lead divides m, or the number of
+        divisors when none does."""
+        leads = self.leads
+        best = self.constant[0] if self.constant else len(leads)
+        by_var = self.by_var
         for v, e in enumerate(m):
             if e:
                 for i in by_var.get(v, ()):
@@ -313,11 +316,41 @@ def divide(f, divisors, order):
                     if mono_div(m, leads[i][0]) is not None:
                         best = i
                         break
+        return best
+
+
+def divide(f, divisors, order):
+    """Multivariate division: f = sum q_i * divisors_i + r.
+
+    Returns (quotients, remainder) with no remainder monomial divisible by any
+    divisor's leading monomial.  Deterministic: at each step the first divisor
+    in the list whose leading monomial divides the current leading monomial is
+    used.
+
+    divisors is a list of polynomials or a DivisorIndex built for this order;
+    a list is indexed on the call.  A caller dividing many polynomials by one
+    list builds its DivisorIndex once and passes it to each call.  The smallest
+    dividing index over the index's buckets is the first divisor in the list,
+    so both forms divide alike.
+    """
+    index = (divisors if isinstance(divisors, DivisorIndex)
+             else DivisorIndex(divisors, order))
+    if index.order != order:
+        raise HibiError("the divisor index was built for another order")
+    fld = f.field
+    nvars = f.nvars
+    leads = index.leads
+    quotients = [Polynomial.zero(fld, nvars)] * len(leads)
+    remainder = {}
+    work = f
+    while not work.is_zero():
+        m, c = work.leading_term(order)
+        best = index.first_divisor(m)
         if best < len(leads):
             lm, lc = leads[best]
             t = Polynomial.term(fld, nvars, mono_div(m, lm), fld.div(c, lc))
             quotients[best] = quotients[best] + t
-            work = work - t * divisors[best]
+            work = work - t * index.divisors[best]
         else:
             remainder[m] = c
             work = work - Polynomial.term(fld, nvars, m, c)

@@ -80,8 +80,8 @@ def test_buchberger_census():
 
 def test_buchberger_grids():
     # (checked, skipped): only pairs whose leads share a variable are reduced
-    pinned = {(3, 3): (176, 454), (4, 4): (900, 4050)}
-    for (m, n) in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)]:
+    pinned = {(3, 3): (176, 454), (4, 4): (900, 4050), (5, 5): (3200, 22000)}
+    for (m, n) in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5)]:
         I = hibi_ideal(grid(m, n))
         report = buchberger_check(I)
         assert report.passed

@@ -130,6 +130,92 @@ def test_reduced_h1_small_complexes():
     assert all(reduced_h1([f, g]) == 0 for f, g in combinations(faces, 2))
 
 
+# The 6-vertex real projective plane: H~_1 is Z/2, so it vanishes over the
+# rationals, while mod 2 the triangle boundaries have rank 9 against 10 cycles.
+RP2 = [{1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 6, 2}, {2, 3, 5},
+       {3, 4, 6}, {4, 5, 2}, {5, 6, 3}, {6, 2, 4}]
+
+
+def _rank_mod2(rows):
+    """Rank over F_2 of integer sparse rows."""
+    pivots = {}
+    for r in rows:
+        bits = {k for k, v in r.items() if v % 2}
+        while bits:
+            p = pivots.get(min(bits))
+            if p is None:
+                pivots[min(bits)] = bits
+                break
+            bits ^= p
+    return len(pivots)
+
+
+def _boundary_rows(faces):
+    """The boundary rows of every edge and every triangle of the complex."""
+    edges = {e for f in faces for e in combinations(sorted(f), 2)}
+    triangles = {t for f in faces for t in combinations(sorted(f), 3)}
+    d1 = [{u: -1, v: 1} for u, v in edges]
+    d2 = [{(v, w): 1, (u, w): -1, (u, v): 1} for u, v, w in triangles]
+    return d1, d2
+
+
+def _reference_h1(faces):
+    """dim H~_1 over the rationals by exact rank of both boundary maps:
+    #edges - rank d1 - rank d2, every triangle ranked."""
+    d1, d2 = _boundary_rows(faces)
+    return len(d1) - row_rank(d1) - row_rank(d2)
+
+
+def test_rp2_falls_back_to_exact_rank(count_calls):
+    """2-torsion: the mod-2 bound stops short of the cycle count, so the
+    exact elimination runs and finds H~_1 = 0 over the rationals."""
+    d1, d2 = _boundary_rows(RP2)
+    assert len(d1) - row_rank(d1) == 10
+    assert _rank_mod2(d2) == 9 and row_rank(d2) == 10
+    exact = count_calls(oracle, "RowSpan")
+    assert reduced_h1(RP2) == 0
+    assert len(exact) == 1
+
+
+def test_mod2_bound_settles_a_disk(count_calls):
+    """A strip of four triangles with no common vertex: its boundaries are
+    independent mod 2, so H~_1 = 0 with no exact elimination."""
+    strip = [{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}]
+    exact = count_calls(oracle, "RowSpan")
+    assert reduced_h1(strip) == 0
+    assert exact == []
+    assert reduced_h1([{0, 1}, {1, 2}, {0, 2}, {2, 3, 4}]) == 1
+    assert len(exact) == 1
+
+
+def _shapes(L, degrees):
+    """The shapes of the fibers of more than two monomials."""
+    shapes = set()
+    for d in degrees:
+        codes = fiber_codes(L, d)
+        fibers = {}
+        for mono in combinations_with_replacement(range(L.n), d):
+            fibers.setdefault(sum(codes[v] for v in mono), []).append(mono)
+        shapes.update(face_shape(f) for f in fibers.values() if len(f) > 2)
+    return shapes
+
+
+def test_reduced_h1_matches_exact_reference():
+    """reduced_h1 against full exact ranks on every fiber shape of degrees 3
+    and 4 of the census up to 10 elements (212 shapes, 29 with H~_1 > 0) and
+    of grid 4x5 (567 shapes, 28 positive)."""
+    shapes = set()
+    for L in list(enumerate_distributive(10)) + [grid(4, 5)]:
+        shapes |= _shapes(L, (3, 4))
+    positive = 0
+    for shape in shapes:
+        faces = shape_faces(shape)
+        h1 = reduced_h1(faces)
+        assert h1 == _reference_h1(faces)
+        positive += h1 > 0
+    assert (len(shapes), positive) == (718, 48)
+
+
 complexes = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
                      min_size=1, max_size=8)
 

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hibiring import grid, polynomials
 from hibiring.errors import HibiError, ZeroInput
+from hibiring.ideal import buchberger_check, hibi_ideal
 from hibiring.polynomials import (
     QQ,
+    DivisorIndex,
     Polynomial,
     PrimeField,
     RevLex,
@@ -195,6 +198,36 @@ def _divide_by_scan(f, divisors, order):
 @settings(max_examples=60, deadline=None)
 def test_divide_matches_full_scan(f, gs):
     assert divide(f, gs, ORDER) == _divide_by_scan(f, gs, ORDER)
+
+
+@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
+                         min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_divide_by_index_matches_list(f, gs):
+    expected = _divide_by_scan(f, gs, ORDER)
+    assert divide(f, DivisorIndex(gs, ORDER), ORDER) == expected
+    assert divide(f, gs, ORDER) == expected
+
+
+def test_divide_rejects_index_of_other_order():
+    index = DivisorIndex([P({(1, 0, 0, 0): 1})], RevLex(NV, rank=[3, 2, 1, 0]))
+    with pytest.raises(HibiError):
+        divide(P({(1, 1, 0, 0): 1}), index, ORDER)
+
+
+def test_buchberger_builds_one_index(monkeypatch):
+    """One DivisorIndex serves all 900 reductions of grid 4x4, where
+    indexing on each call would build 900."""
+    built = []
+    init = DivisorIndex.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(polynomials.DivisorIndex, "__init__", counted)
+    report = buchberger_check(hibi_ideal(grid(4, 4)))
+    assert report.pairs_checked == 900
+    assert len(built) == 1
 
 
 def test_normal_form():
