@@ -158,10 +158,10 @@ def n_diamond_planar(L):
     reducible (syzygy.diamond_reducible) to shared-element types.
 
     A pair is counted as (lo, hi), two incomparable pairs with the join of lo
-    below the meet of hi.  That forces them to be element-disjoint (every
-    element of lo is at most meet(hi), every element of hi strictly above it)
-    and fixes which one is lower, so each comparable pair is counted exactly
-    once; pairs that are not comparable are reducible and never looked at.
+    below the meet of hi, as Lattice.comparable_pairs lists them.  That forces
+    them to be element-disjoint and fixes which one is lower, so each
+    comparable pair is counted exactly once; pairs that are not comparable are
+    reducible and never looked at.
 
     The count is the rank they add beyond the shifted degree-3 kernel: a
     planar diamond is fixed by its meet and join, so for comparable pairs the
@@ -171,10 +171,8 @@ def n_diamond_planar(L):
     degree-4 oracle check then reports it.
     """
     _require_planar(L)
-    pairs = L.incomparable_pairs()
-    return sum(1 for lo in pairs for hi in pairs
-               if L.le(L.join[lo[0]][lo[1]], L.meet[hi[0]][hi[1]])
-               and not diamond_reducible(L, lo, hi))
+    return sum(1 for lo, hi in L.comparable_pairs()
+               if not diamond_reducible(L, lo, hi))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ class Lattice:
     """
 
     __slots__ = ("n", "labels", "leq", "join", "meet", "covers", "height",
-                 "parent_map", "_up", "_down", "_diamonds")
+                 "parent_map", "_up", "_down", "_diamonds",
+                 "_comparable_pairs")
 
     def __init__(self, labels, up):
         # up[a] = frozenset of b with a <= b (reflexive); validated by callers
@@ -37,6 +38,7 @@ class Lattice:
         self._up = tuple(up)
         self.parent_map = None
         self._diamonds = None
+        self._comparable_pairs = None
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -133,6 +135,26 @@ class Lattice:
             self._diamonds = frozenset((self.meet[a][b], self.join[a][b])
                                        for a, b in self.incomparable_pairs())
         return self._diamonds
+
+    def comparable_pairs(self):
+        """The pairs (lo, hi) of incomparable pairs with join(lo) <= meet(hi),
+        sorted, built on the first call.
+
+        Each incomparable pair is filed under its meet, and the pairs hi of a
+        lo are those filed under an element of the up-set of join(lo).  The
+        two pairs are element-disjoint: each element of lo lies strictly below
+        join(lo), and each element of hi strictly above meet(hi).
+        """
+        if self._comparable_pairs is None:
+            pairs = self.incomparable_pairs()
+            by_meet = {}
+            for a, b in pairs:
+                by_meet.setdefault(self.meet[a][b], []).append((a, b))
+            self._comparable_pairs = tuple(sorted(
+                (lo, hi) for lo in pairs
+                for x in self._up[self.join[lo[0]][lo[1]]]
+                for hi in by_meet.get(x, ())))
+        return self._comparable_pairs
 
     def join_irreducibles(self):
         """Elements with exactly one lower cover."""

@@ -20,8 +20,8 @@ over Q, and d1 d2 = 0 gives rank over Q <= dim ker d1 = #cycles.  When the
 boundaries reduced mod 2 reach #cycles, H~_1 = 0 over the rationals.  Only the
 other fibers, a positive H~_1 or 2-torsion (where the two ranks differ), go
 on to fraction-free integer elimination, so every count is exact (over the
-rationals).  On grid 4x5 the mod-2 bound settles 539 of the 567 fiber
-shapes of degrees 3 and 4; the other 28 are the shapes with H~_1 > 0.  A
+rationals).  On grid 4x5 the mod-2 bound settles 141 of the 169 fiber
+shapes graded_betti_row meets; the other 28 are the shapes with H~_1 > 0.  A
 fiber with one support, or whose supports share a vertex, is a cone and
 contributes 0.  So does a fiber of at most two monomials: two simplices form
 a cone when they meet and two contractible components when they do not, so
@@ -34,27 +34,63 @@ Equal shapes are isomorphic complexes with equal H~_1; two isomorphic fibers
 whose shapes differ only cost one more computation.  shape_h1 memoises H~_1
 by shape for the life of the process.  The memo stays small because a shape
 is a local configuration of the lattice (the supports of one multidegree),
-not the lattice itself: the 7,500 fibers of more than two monomials of a 4x5
-grid in degrees 3 and 4 have 567 shapes, and the 341 lattices of the census
-up to 12 elements have 484 between them.
+not the lattice itself: the 1,425 fibers of more than two monomials that
+graded_betti_row examines on grid 4x5 have 169 shapes, and the 341 lattices
+of the census up to 12 elements have 112 between them.
 
 The presentation F -> I sends the column (mu, i), a monomial mu of degree d-2
 times the i-th relation, to mu * relation_i.  In degree d it maps onto I_d,
 whose dimension is dim S_d - dim R_d, so by rank-nullity
 
-  kernel_dim = #relations * C(n+d-3, d-2) - (C(n+d-1, d) - #fibers),
+  kernel_dim = #relations * C(n+d-3, d-2) - (C(n+d-1, d) - dim R_d),
 
-and the part of that kernel which is not minimal, the span of the variable
-multiples of lower-degree syzygies, has dimension kernel_dim - sum_b beta_{1,b}.
+where dim R_d, the number of fibers, is the number of multichains
+c_1 <= ... <= c_d: each fiber holds exactly one standard monomial, and the
+standard monomials are the multichains (Hibi 1987).  The part of that kernel
+which is not minimal, the span of the variable multiples of lower-degree
+syzygies, has dimension kernel_dim - sum_b beta_{1,b}.
 
-Minimal first syzygies live in degrees 3 and 4 only.  The diamond relations
-are a quadratic Groebner basis (Hibi 1987; buchberger_check certifies it), so
-beta_{1,j}(I) <= beta_{1,j}(in(I)) because graded Betti numbers can only grow
-on passing to the initial ideal, and the Taylor resolution of a quadratic
-monomial ideal has first-syzygy shifts lcm(m, m') of degree at most 4
-(Herzog-Hibi, Monomial Ideals, GTM 260: Betti numbers of initial ideals, and
-the Taylor complex).  Hence beta_{1,j}(I) = 0 for j > 4, and the public
-functions report degrees 3..TOP_DEGREE only.
+Which fibers can carry a minimal first syzygy.  The diamond relations are a
+quadratic Groebner basis (Hibi 1987; buchberger_check certifies it), and the
+initial ideal in(I) is generated by the squarefree x_a x_b over the
+incomparable pairs {a, b}.  Betti numbers can only grow on passing to the
+initial ideal, in any positive multigrading in which I is homogeneous
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 8.29), so
+beta_{1,b}(I) is at most the sum of beta_{1,m}(in I) over the monomials m of
+the fiber of b.  By the upper Koszul complex (same book, Thm 1.34),
+beta_{1,m}(in I) = dim H~_0(K^m) with K^m = {F in supp m : m / x^F in in(I)}.
+It is 0 unless m is squarefree: whether a monomial lies in the squarefree
+in(I) depends on its support only, so if x_v^2 divides m, adding v to a face
+of K^m gives a face, and K^m is a cone over v or void.  For m the product
+of the variables of a set M of elements, F is a face of K^m iff M - F is not
+a chain, so the vertices of K^m are the v with M - v not a chain and its
+edges are the {u, v} with M - {u, v} not a chain.  Then:
+
+- |M| <= 2: K^m has no vertex and H~_0 = 0.
+- |M| = 3: K^m has no edge; its vertices are the complements of the
+  incomparable pairs in M, so H~_0 = (#incomparable pairs in M - 1)^+.
+- |M| = 4: the edges are the complements of the incomparable pairs in M,
+  and every vertex v lies on one (an incomparable pair that avoids v has a
+  complement that contains v).  A graph on four vertices without isolated
+  vertices is disconnected only as two disjoint edges, so H~_0 = 1 when the
+  incomparable pairs in M are two disjoint pairs, and 0 otherwise.  Then M
+  is ordered as a 4-cycle of comparabilities, and the only transitive
+  orientation puts one pair, lo, below the other, hi: join(lo) <= meet(hi),
+  a comparable pair (Lattice.comparable_pairs).
+- |M| >= 5, M not a chain: take an incomparable pair {p, q}.  The at least
+  three other elements are vertices and pairwise adjacent, since removing
+  two of them leaves {p, q}.  If p is a vertex, M - p holds an incomparable
+  pair P; some u outside {p, q} and P remains, and M - {p, u} holds P, so p
+  is adjacent to u.  The same goes for q, so K^m is connected: H~_0 = 0.
+
+Hence beta_{1,j}(I) = 0 for every j other than 3 and 4, and the public
+functions report degrees 3..TOP_DEGREE only.  In degree 4 only a fiber that
+holds x_a x_b x_c x_e for a comparable pair ((a, b), (c, e)) can carry a
+minimal syzygy, so graded_betti_row examines every degree-3 fiber, the
+comparable-pair fibers of degree 4 (525 of the 8,820 on grid 4x5) and no
+other; S_4 is never enumerated.  The bound prunes no degree-3 fiber of more
+than two monomials on grid 4x5: each of the 900 holds a monomial with two
+incomparable pairs.
 """
 
 from collections import Counter
@@ -68,7 +104,8 @@ TOP_DEGREE = 4
 
 # A row is a sparse vector over column keys with integer entries.  For a
 # syzygy the key (mu, i) is the column mu * relation_i, with the monomial mu
-# written as a sorted tuple of variables, as _fibers writes monomials.
+# written as a sorted tuple of variables, as _monomials_by_code writes
+# monomials.
 
 
 @dataclass(frozen=True)
@@ -145,14 +182,37 @@ def fiber_codes(lattice, d):
             for a in range(lattice.n)]
 
 
-def _fibers(lattice, d):
-    """The degree-d fibers, each a list of monomials given as sorted tuples
-    of variables."""
-    codes = fiber_codes(lattice, d)
-    fibers = {}
-    for mono in combinations_with_replacement(range(lattice.n), d):
-        fibers.setdefault(sum(map(codes.__getitem__, mono)), []).append(mono)
-    return list(fibers.values())
+def _monomials_by_code(codes, d):
+    """The degree-d monomials, as sorted tuples of variables, grouped by the
+    sum of their variables' codes."""
+    table = {}
+    for mono in combinations_with_replacement(range(len(codes)), d):
+        table.setdefault(sum(map(codes.__getitem__, mono)), []).append(mono)
+    return table
+
+
+def _candidate_fibers(lattice, d):
+    """The degree-d fibers that can carry a minimal first syzygy (module
+    docstring): every fiber in degree 3, the fibers of the comparable pairs
+    in degree TOP_DEGREE, none in any other degree.
+
+    The codes are in base TOP_DEGREE + 1 in both degrees, so one table of the
+    degree-3 monomials serves both.  A degree-4 monomial of code c with least
+    variable y is y times a degree-3 monomial of code c - code(y) with no
+    variable below y; a sum of four codes never carries, so every monomial
+    the table returns for c - code(y) lies in the fiber of c.
+    """
+    if d not in (3, TOP_DEGREE):
+        return []
+    codes = fiber_codes(lattice, TOP_DEGREE)
+    cubics = _monomials_by_code(codes, 3)
+    if d == 3:
+        return list(cubics.values())
+    pairs = {codes[a] + codes[b] + codes[c] + codes[e]
+             for (a, b), (c, e) in lattice.comparable_pairs()}
+    return [[(y,) + rest for y in range(lattice.n)
+             for rest in cubics.get(code - codes[y], ()) if rest[0] >= y]
+            for code in pairs]
 
 
 def reduced_h1(faces):
@@ -232,24 +292,35 @@ def shape_h1(shape):
     return reduced_h1(shape_faces(shape))
 
 
-def _kernel_dim(ideal, d, n_fibers):
-    n = ideal.lattice.n
-    columns = len(ideal.relations) * comb(n + d - 3, d - 2)
-    return columns - (comb(n + d - 1, d) - n_fibers)
+def multichains(lattice, d):
+    """Number of multichains c_1 <= ... <= c_d (d >= 1) of the lattice, which
+    is dim R_d: every degree-d fiber holds exactly one standard monomial, and
+    the standard monomials are the multichains (Hibi 1987).  Counted by how
+    many end at each element, in O(n^2 d)."""
+    n = lattice.n
+    below = [[b for b in range(n) if lattice.le(b, a)] for a in range(n)]
+    ending = [1] * n
+    for _ in range(d - 1):
+        ending = [sum(ending[b] for b in bs) for bs in below]
+    return sum(ending)
 
 
 def graded_betti_row(ideal, d):
-    """The GradedBettiRow of degree d, one H~_1 per shape of the degree-d
+    """The GradedBettiRow of degree d, one H~_1 per shape of the candidate
     fibers of more than two monomials."""
-    fibers = _fibers(ideal.lattice, d)
+    fibers = _candidate_fibers(ideal.lattice, d)
     minimal = sum(shape_h1(face_shape(f)) for f in fibers if len(f) > 2)
-    kernel = _kernel_dim(ideal, d, len(fibers))
+    kernel = kernel_dim(ideal, d)
     return GradedBettiRow(d, kernel, kernel - minimal, minimal)
 
 
 def kernel_dim(ideal, d):
-    """Dimension of the degree-d first syzygies, by rank-nullity."""
-    return _kernel_dim(ideal, d, len(_fibers(ideal.lattice, d)))
+    """Dimension of the degree-d first syzygies, by rank-nullity: the
+    presentation maps its #relations * C(n+d-3, d-2) columns onto I_d, whose
+    dimension is dim S_d - dim R_d = C(n+d-1, d) - multichains(lattice, d)."""
+    n = ideal.lattice.n
+    columns = len(ideal.relations) * comb(n + d - 3, d - 2)
+    return columns - (comb(n + d - 1, d) - multichains(ideal.lattice, d))
 
 
 def graded_betti_oracle(ideal):
@@ -288,11 +359,8 @@ def fiber_kernels(ideal, d):
     columns = Counter(codes[a] + codes[b] + s
                       for a, b in (r.pair for r in ideal.relations)
                       for s in shifts)
-    kernels = {}
-    for fiber in _fibers(L, d):
-        code = sum(map(codes.__getitem__, fiber[0]))
-        kernels[code] = columns[code] - len(fiber) + 1
-    return kernels
+    return {code: columns[code] - len(fiber) + 1
+            for code, fiber in _monomials_by_code(codes, d).items()}
 
 
 def standard_monomial(lattice, d, code):

@@ -83,6 +83,18 @@ def test_grid_1_2_layout():
     assert g.covers == ((0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5))
     assert g.incomparable_pairs() == [(1, 2), (1, 4), (3, 4)]
     assert g.diamonds() == {(0, 3), (0, 5), (2, 5)}
+    assert g.comparable_pairs() == ()
+
+
+def test_comparable_pairs_match_scan(census_to_twelve):
+    """comparable_pairs equals the scan of every pair of incomparable pairs
+    for join(lo) <= meet(hi), on census <= 12 and grid 6x6 (4,900 pairs)."""
+    for L in census_to_twelve + [grid(6, 6)]:
+        pairs = L.incomparable_pairs()
+        scan = [(lo, hi) for lo in pairs for hi in pairs
+                if L.le(L.join[lo[0]][lo[1]], L.meet[hi[0]][hi[1]])]
+        assert L.comparable_pairs() == tuple(sorted(scan))
+    assert len(grid(6, 6).comparable_pairs()) == 4900
 
 
 def test_grid_1_1_is_diamond():

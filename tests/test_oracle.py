@@ -17,6 +17,7 @@ from hibiring.oracle import (
     graded_betti_row,
     is_linear_first_syzygy,
     kernel_dim,
+    multichains,
     reduced_h1,
     row_rank,
     shape_faces,
@@ -59,13 +60,18 @@ def test_stacked_diamonds_degree_four(stacked_diamonds):
 
 def test_nothing_minimal_beyond_degree_four(stacked_diamonds):
     """Witness of the degree bound stated in hibiring.oracle: walking the
-    per-degree step past it finds no minimal generator in degrees 5 and 6."""
+    per-degree step past it finds no minimal generator in degrees 5 and 6,
+    and neither does enumerating every fiber of S_5 and S_6, which the
+    oracle no longer examines."""
     lattices = [grid(2, 3), stacked_diamonds, overlapping_grids(3, 1, 2, 4)]
     lattices += enumerate_distributive(9)
     for L in lattices:
         I = hibi_ideal(L)
         assert [graded_betti_row(I, d).minimal_generators
                 for d in (5, 6)] == [0, 0]
+        assert not any(shape_h1(face_shape(f))
+                       for d in (5, 6) for f in _reference_fibers(L, d)
+                       if len(f) > 2)
 
 
 def test_grids_are_linear():
@@ -236,15 +242,21 @@ def test_shape_is_sound(faces, data):
     assert face_shape([{relabel[v] for v in f} for f in faces]) == shape
 
 
-def _reference_row(ideal, d):
-    """graded_betti_row without shapes or skips: reduced_h1 of every
-    degree-d fiber."""
-    L = ideal.lattice
+def _reference_fibers(L, d):
+    """Every degree-d fiber, by enumerating S_d: lists of monomials given as
+    sorted tuples of variables."""
     codes = fiber_codes(L, d)
     fibers = {}
     for mono in combinations_with_replacement(range(L.n), d):
-        fibers.setdefault(sum(codes[v] for v in mono), []).append(set(mono))
-    minimal = sum(reduced_h1(f) for f in fibers.values())
+        fibers.setdefault(sum(codes[v] for v in mono), []).append(mono)
+    return list(fibers.values())
+
+
+def _reference_row(ideal, d):
+    """graded_betti_row without shapes, skips or the initial-ideal bound:
+    reduced_h1 of every degree-d fiber."""
+    minimal = sum(reduced_h1([set(m) for m in f])
+                  for f in _reference_fibers(ideal.lattice, d))
     kernel = kernel_dim(ideal, d)
     return GradedBettiRow(d, kernel, kernel - minimal, minimal)
 
@@ -260,13 +272,101 @@ def test_rows_match_unmemoised_reference(stacked_diamonds,
             assert graded_betti_row(I, d) == _reference_row(I, d)
 
 
+def _koszul_h0(leads, M):
+    """dim H~_0 of the upper Koszul complex K^m of the initial ideal, for m
+    the product of the variables of the set M, from its definition: F in M
+    is a face iff m / x^F lies in in(I), that is iff M - F contains the
+    support of a lead in leads."""
+    def face(F):
+        rest = M - F
+        return any(lead <= rest for lead in leads)
+    if not face(frozenset()):
+        return 0  # m is not in in(I): K^m is void
+    vertices = [v for v in M if face({v})]
+    component = {v: {v} for v in vertices}
+    for u, v in combinations(vertices, 2):
+        if face({u, v}) and component[u] is not component[v]:
+            merged = component[u] | component[v]
+            for w in merged:
+                component[w] = merged
+    return max(len({id(c) for c in component.values()}) - 1, 0)
+
+
+def test_initial_ideal_bounds_the_fibers(diamond_counterexample):
+    """The bound in the oracle module docstring, apart from the shortcut it
+    licenses.  For every squarefree m of degree 3-5, beta_{1,m}(in I) =
+    dim H~_0(K^m) is (#incomparable pairs in m - 1)^+ in degree 3, 1 exactly
+    on the comparable pairs in degree 4, and 0 in degree 5; and every fiber
+    with H~_1 > 0, found by enumerating S_d, holds such an m with
+    beta_{1,m}(in I) > 0.  Census <= 10, grid 2x3 and the 10-element
+    counterexample."""
+    examined = positive = 0
+    for L in list(enumerate_distributive(10)) + [grid(2, 3),
+                                                 diamond_counterexample]:
+        I = hibi_ideal(L)
+        leads = []
+        for r in I.relations:
+            lead = r.poly.leading_monomial(I.order)
+            assert sorted(lead) == [0] * (L.n - 2) + [1, 1]  # squarefree
+            leads.append(frozenset(v for v in range(L.n) if lead[v]))
+        comparable = {frozenset(lo + hi) for lo, hi in L.comparable_pairs()}
+        h0 = {}
+        for d in (3, 4, 5):
+            for M in map(frozenset, combinations(range(L.n), d)):
+                h0[M] = _koszul_h0(leads, M)
+                incomparable = sum(L.incomparable(a, b)
+                                   for a, b in combinations(M, 2))
+                expected = {3: max(incomparable - 1, 0),
+                            4: int(M in comparable), 5: 0}[d]
+                assert h0[M] == expected, (L.covers, sorted(M))
+        examined += len(h0)
+        for d in (3, 4, 5):
+            for f in _reference_fibers(L, d):
+                if len(f) > 2 and reduced_h1([set(m) for m in f]) > 0:
+                    positive += 1
+                    assert any(h0.get(frozenset(m), 0) > 0 for m in f
+                               if len(set(m)) == d)
+    assert (examined, positive) == (41901, 400)
+
+
+def test_multichains_count_the_fibers():
+    """dim R_d as the number of multichains equals the number of fibers
+    found by enumerating S_d, for d = 2..5 on census <= 10."""
+    for L in enumerate_distributive(10):
+        for d in (2, 3, 4, 5):
+            assert multichains(L, d) == len(_reference_fibers(L, d))
+
+
 def test_oracle_computes_h1_once_per_shape(count_calls):
-    """The 7,500 fibers of more than two monomials of grid 4x5 in degrees 3
-    and 4 have 567 shapes; one reduced_h1 per fiber would make 9,300 calls."""
+    """On grid 4x5 the 900 degree-3 fibers of more than two monomials have
+    28 shapes and the 525 comparable-pair fibers of degree 4 another 141;
+    one reduced_h1 per fiber would make 1,425 calls, and one per fiber of
+    all of S_3 and S_4 9,300."""
     shape_h1.cache_clear()
     calls = count_calls(oracle, "reduced_h1")
     assert first_betti_oracle(hibi_ideal(grid(4, 5))) == 1500
-    assert len(calls) <= 600
+    assert len(calls) == 169
+
+
+def test_degree_four_row_builds_comparable_pair_fibers_only(count_calls):
+    """The degree-4 row of grid 4x5 builds one fiber per comparable-pair
+    multidegree (525 of its 8,820), each whole, and enumerates no degree-4
+    monomial."""
+    L = grid(4, 5)
+    I = hibi_ideal(L)
+    shapes = count_calls(oracle, "face_shape")
+    enumerations = count_calls(oracle, "combinations_with_replacement")
+    row = graded_betti_row(I, 4)
+    assert row.minimal_generators == 0
+    assert len(shapes) == 525 == len(L.comparable_pairs())
+    assert multichains(L, 4) == 8820
+    assert [args[1] for args in enumerations] == [3]
+    codes = fiber_codes(L, 4)
+    comparable = {sum(codes[v] for v in lo + hi)
+                  for lo, hi in L.comparable_pairs()}
+    expected = sorted(sorted(f) for f in _reference_fibers(L, 4)
+                      if sum(codes[v] for v in f[0]) in comparable)
+    assert sorted(sorted(args[0]) for args in shapes) == expected
 
 
 def test_row_rank_simple():
