@@ -5,7 +5,7 @@ after construction and every query is pure, so values are safe to share across
 threads.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import (
     CapExceeded,
@@ -303,7 +303,7 @@ def _poset_canon(down):
     order = sorted(groups)
     best = None
     blocks = [groups[k] for k in order]
-    for perm_parts in _product_perms(blocks):
+    for perm_parts in product(*map(permutations, blocks)):
         perm = [i for part in perm_parts for i in part]
         place = [0] * n
         for new, old in enumerate(perm):
@@ -319,16 +319,6 @@ def _poset_canon(down):
         if best is None or enc < best:
             best = enc
     return (n, tuple(sorted(inv)), best)
-
-
-def _product_perms(blocks):
-    if not blocks:
-        yield []
-        return
-    head, *rest = blocks
-    for p in permutations(head):
-        for tail in _product_perms(rest):
-            yield [list(p)] + tail
 
 
 def _birkhoff(down):

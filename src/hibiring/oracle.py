@@ -20,12 +20,9 @@ over Q, and d1 d2 = 0 gives rank over Q <= dim ker d1 = #cycles.  When the
 boundaries reduced mod 2 reach #cycles, H~_1 = 0 over the rationals.  Only the
 other fibers, a positive H~_1 or 2-torsion (where the two ranks differ), go
 on to fraction-free integer elimination, so every count is exact (over the
-rationals).  On grid 4x5 the mod-2 bound settles 141 of the 169 fiber
-shapes graded_betti_row meets; the other 28 are the shapes with H~_1 > 0.  A
-fiber with one support, or whose supports share a vertex, is a cone and
-contributes 0.  So does a fiber of at most two monomials: two simplices form
-a cone when they meet and two contractible components when they do not, so
-graded_betti_row skips those fibers.
+rationals).  On grid 4x5 the mod-2 bound settles all 141 fiber shapes
+graded_betti_row meets, so no exact elimination runs there.  A fiber with
+one support, or whose supports share a vertex, is a cone and contributes 0.
 
 H~_1 is invariant under a bijection of the vertices, so it is computed once
 per fiber shape (face_shape): the fiber's vertices relabelled 0..k-1 in
@@ -34,9 +31,9 @@ Equal shapes are isomorphic complexes with equal H~_1; two isomorphic fibers
 whose shapes differ only cost one more computation.  shape_h1 memoises H~_1
 by shape for the life of the process.  The memo stays small because a shape
 is a local configuration of the lattice (the supports of one multidegree),
-not the lattice itself: the 1,425 fibers of more than two monomials that
-graded_betti_row examines on grid 4x5 have 169 shapes, and the 341 lattices
-of the census up to 12 elements have 112 between them.
+not the lattice itself: the 525 fibers that graded_betti_row examines on
+grid 4x5 have 141 shapes, and the 341 lattices of the census up to 12
+elements have 61 between them.
 
 The presentation F -> I sends the column (mu, i), a monomial mu of degree d-2
 times the i-th relation, to mu * relation_i.  In degree d it maps onto I_d,
@@ -86,11 +83,21 @@ edges are the {u, v} with M - {u, v} not a chain.  Then:
 Hence beta_{1,j}(I) = 0 for every j other than 3 and 4, and the public
 functions report degrees 3..TOP_DEGREE only.  In degree 4 only a fiber that
 holds x_a x_b x_c x_e for a comparable pair ((a, b), (c, e)) can carry a
-minimal syzygy, so graded_betti_row examines every degree-3 fiber, the
-comparable-pair fibers of degree 4 (525 of the 8,820 on grid 4x5) and no
-other; S_4 is never enumerated.  The bound prunes no degree-3 fiber of more
-than two monomials on grid 4x5: each of the 900 holds a monomial with two
-incomparable pairs.
+minimal syzygy, so graded_betti_row examines the comparable-pair fibers of
+degree 4 (525 of the 8,820 on grid 4x5) and no other fiber; S_4 is never
+enumerated.  Each such fiber holds at least four monomials: for a
+comparable pair (lo, hi) write lo' = (meet lo, join lo) and likewise hi';
+then lo hi, lo' hi, lo hi' and lo' hi' are four distinct monomials of one
+multidegree.
+
+Degree 3 needs no fiber at all.  The relation of {a, b} has the leading
+monomial x_a x_b, so the relations have pairwise distinct leading monomials
+and are linearly independent: F_2 -> I_2 is injective, and no syzygy has
+degree 2.  By graded Nakayama the syzygies that are not minimal are spanned
+by the variable multiples of syzygies of lower degree, and below degree 3
+there are none.  So every degree-3 syzygy is minimal: the degree-3 row is
+(kernel_dim, 0, kernel_dim), and fiber by fiber beta_{1,b} = kernel_b
+(fiber_kernels).  S_3 is enumerated only to build the degree-4 fibers.
 """
 
 from collections import Counter
@@ -191,23 +198,17 @@ def _monomials_by_code(codes, d):
     return table
 
 
-def _candidate_fibers(lattice, d):
-    """The degree-d fibers that can carry a minimal first syzygy (module
-    docstring): every fiber in degree 3, the fibers of the comparable pairs
-    in degree TOP_DEGREE, none in any other degree.
+def _comparable_pair_fibers(lattice):
+    """The degree-TOP_DEGREE fibers of the comparable pairs, the only ones
+    that can carry a minimal first syzygy (module docstring).
 
-    The codes are in base TOP_DEGREE + 1 in both degrees, so one table of the
-    degree-3 monomials serves both.  A degree-4 monomial of code c with least
-    variable y is y times a degree-3 monomial of code c - code(y) with no
-    variable below y; a sum of four codes never carries, so every monomial
-    the table returns for c - code(y) lies in the fiber of c.
+    The codes are in base TOP_DEGREE + 1, so a sum of four codes never
+    carries.  A degree-4 monomial of code c with least variable y is y times
+    a degree-3 monomial of code c - code(y) with no variable below y, so one
+    table of the degree-3 monomials builds every fiber whole.
     """
-    if d not in (3, TOP_DEGREE):
-        return []
     codes = fiber_codes(lattice, TOP_DEGREE)
     cubics = _monomials_by_code(codes, 3)
-    if d == 3:
-        return list(cubics.values())
     pairs = {codes[a] + codes[b] + codes[c] + codes[e]
              for (a, b), (c, e) in lattice.comparable_pairs()}
     return [[(y,) + rest for y in range(lattice.n)
@@ -306,11 +307,17 @@ def multichains(lattice, d):
 
 
 def graded_betti_row(ideal, d):
-    """The GradedBettiRow of degree d, one H~_1 per shape of the candidate
-    fibers of more than two monomials."""
-    fibers = _candidate_fibers(ideal.lattice, d)
-    minimal = sum(shape_h1(face_shape(f)) for f in fibers if len(f) > 2)
+    """The GradedBettiRow of degree d (module docstring): every degree-3
+    syzygy is minimal, the degree-TOP_DEGREE ones are counted by one H~_1
+    per shape of the comparable-pair fibers, and none beyond is."""
     kernel = kernel_dim(ideal, d)
+    if d == 3:
+        minimal = kernel
+    elif d == TOP_DEGREE:
+        minimal = sum(shape_h1(face_shape(f))
+                      for f in _comparable_pair_fibers(ideal.lattice))
+    else:
+        minimal = 0
     return GradedBettiRow(d, kernel, kernel - minimal, minimal)
 
 

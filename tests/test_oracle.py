@@ -338,14 +338,13 @@ def test_multichains_count_the_fibers():
 
 
 def test_oracle_computes_h1_once_per_shape(count_calls):
-    """On grid 4x5 the 900 degree-3 fibers of more than two monomials have
-    28 shapes and the 525 comparable-pair fibers of degree 4 another 141;
-    one reduced_h1 per fiber would make 1,425 calls, and one per fiber of
-    all of S_3 and S_4 9,300."""
+    """On grid 4x5 the 525 comparable-pair fibers of degree 4 have 141
+    shapes, and the degree-3 row computes no H~_1; one reduced_h1 per fiber
+    would make 525 calls, and one per fiber of all of S_3 and S_4 9,300."""
     shape_h1.cache_clear()
     calls = count_calls(oracle, "reduced_h1")
     assert first_betti_oracle(hibi_ideal(grid(4, 5))) == 1500
-    assert len(calls) == 169
+    assert len(calls) == 141
 
 
 def test_degree_four_row_builds_comparable_pair_fibers_only(count_calls):
@@ -367,6 +366,50 @@ def test_degree_four_row_builds_comparable_pair_fibers_only(count_calls):
     expected = sorted(sorted(f) for f in _reference_fibers(L, 4)
                       if sum(codes[v] for v in f[0]) in comparable)
     assert sorted(sorted(args[0]) for args in shapes) == expected
+    assert min(len(args[0]) for args in shapes) >= 4
+
+
+def test_degree_three_row_is_the_kernel(count_calls):
+    """Every degree-3 syzygy is minimal, so the degree-3 row of grid 4x5 is
+    read off rank-nullity: no monomial is enumerated, no fiber shaped and no
+    H~_1 computed."""
+    I = hibi_ideal(grid(4, 5))
+    shape_h1.cache_clear()
+    calls = [count_calls(oracle, name) for name in
+             ("combinations_with_replacement", "face_shape", "reduced_h1")]
+    k = kernel_dim(I, 3)
+    assert graded_betti_row(I, 3) == GradedBettiRow(3, k, 0, k)
+    assert k == 1500
+    assert calls == [[], [], []]
+
+
+def test_oracle_enumerates_s3_once(count_calls):
+    """graded_betti_oracle enumerates S_3 once, for the degree-4 fibers, and
+    on the linear grid 4x5 the mod-2 bound settles every shape, so no exact
+    elimination runs."""
+    shape_h1.cache_clear()
+    enumerations = count_calls(oracle, "combinations_with_replacement")
+    exact = count_calls(oracle, "RowSpan")
+    rows = graded_betti_oracle(hibi_ideal(grid(4, 5)))
+    assert rows.linear
+    assert [args[1] for args in enumerations] == [3]
+    assert exact == []
+
+
+def test_degree_three_fibers_carry_their_kernel():
+    """The fiberwise form of the degree-3 row: on every degree-3 fiber b of
+    the census up to 9 elements and of grid 2x3, kernel_b equals
+    dim H~_1(Delta_b), computed on the fiber itself."""
+    fibers = positive = 0
+    for L in list(enumerate_distributive(9)) + [grid(2, 3)]:
+        kernels = fiber_kernels(hibi_ideal(L), 3)
+        codes = fiber_codes(L, 3)
+        for f in _reference_fibers(L, 3):
+            b = sum(codes[v] for v in f[0])
+            assert kernels[b] == reduced_h1([set(m) for m in f])
+            fibers += 1
+            positive += kernels[b] > 0
+    assert (fibers, positive) == (6292, 140)
 
 
 def test_row_rank_simple():
