@@ -17,6 +17,7 @@ need no computation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import polynomials as pa
 from .errors import NotGroebner
@@ -70,6 +71,14 @@ class HibiIdeal:
     def polys(self):
         return [r.poly for r in self.relations]
 
+    @cached_property
+    def terms(self):
+        """Each relation as its two signed terms, x_a x_b and
+        -x_{a|b} x_{a&b}, each monomial a sorted tuple of variables."""
+        L = self.lattice
+        return [(((a, b), 1), (tuple(sorted((L.meet[a][b], L.join[a][b]))), -1))
+                for a, b in (r.pair for r in self.relations)]
+
     def variable_names(self, style="plain"):
         n = self.lattice.n
         if style == "m2":
@@ -113,18 +122,20 @@ def buchberger_check(ideal):
     module docstring).  The leads are read from the polynomials themselves, so
     a relation whose lead was changed is paired by its actual lead, and
     reduced against the actual leads: every reduction uses one DivisorIndex
-    of the generator list, built here.  Raises NotGroebner naming the first
+    of the generator list, built here.  Each lead's support is a bitmask, so
+    the coprime test is one AND per pair.  Raises NotGroebner naming the first
     checked pair that leaves a remainder.
     """
     polys = ideal.polys
     order = ideal.order
     index = DivisorIndex(polys, order)
-    leads = [lm for lm, _ in index.leads]
+    supports = [sum(1 << v for v, e in enumerate(lm) if e)
+                for lm, _ in index.leads]
     checked = skipped = 0
     max_terms = 0
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            if not any(a and b for a, b in zip(leads[i], leads[j])):
+            if not supports[i] & supports[j]:
                 skipped += 1
                 continue
             s = s_polynomial(polys[i], polys[j], order)

@@ -8,6 +8,7 @@ field: the rationals or a prime field.
 """
 
 from fractions import Fraction
+from operator import add, le, neg, sub
 
 from .errors import HibiError, ZeroInput
 
@@ -15,29 +16,44 @@ from .errors import HibiError, ZeroInput
 # -- coefficient fields ----------------------------------------------------
 
 
+def _whole(q):
+    """A rational as an int when it is whole, else as a Fraction."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
 class RationalField:
+    """The rationals.  Whole values are Python ints and the rest Fractions;
+    every result is normalised, so a whole value is never a Fraction.  Both
+    types are exact, and an int equals and hashes like the Fraction of the
+    same value, so coefficient dicts compare alike either way.  Over
+    unit-coefficient binomials no Fraction is ever built."""
+
     name = "QQ"
+    zero = 0
+    one = 1
 
     def of(self, n):
-        return Fraction(n)
-
-    zero = Fraction(0)
-    one = Fraction(1)
+        return n if type(n) is int else _whole(Fraction(n))
 
     def add(self, a, b):
-        return a + b
+        return _whole(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _whole(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _whole(a * b)
 
     def neg(self, a):
-        return -a
+        return _whole(-a)
 
     def div(self, a, b):
-        return a / b
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _whole(a / b)
 
     def __repr__(self):
         return "QQ"
@@ -95,17 +111,16 @@ QQ = RationalField()
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
     """a / b as a monomial, or None when b does not divide a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    return q if all(x >= 0 for x in q) else None
+    return tuple(map(sub, a, b)) if all(map(le, b, a)) else None
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):
@@ -131,11 +146,11 @@ class RevLex:
         inverse = [0] * nvars
         for v, r in enumerate(rank):
             inverse[r] = v
-        self._by_rank = tuple(inverse)  # variable at each rank position
+        self._last_first = tuple(reversed(inverse))  # last rank's variable first
 
     def key(self, m):
         """Sort key: bigger key = bigger monomial."""
-        return (mono_deg(m), tuple(-m[v] for v in reversed(self._by_rank)))
+        return (sum(m), tuple(map(neg, map(m.__getitem__, self._last_first))))
 
     def greater(self, a, b):
         return self.key(a) > self.key(b)
@@ -196,7 +211,11 @@ class Polynomial:
         return Polynomial(f, self.nvars, {m: f.neg(c) for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        f = self.field
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = f.sub(out.get(m, f.zero), c)
+        return Polynomial(f, self.nvars, out)
 
     def __mul__(self, other):
         f = self.field
@@ -313,7 +332,7 @@ class DivisorIndex:
                 for i in by_var.get(v, ()):
                     if i >= best:
                         break
-                    if mono_div(m, leads[i][0]) is not None:
+                    if all(map(le, leads[i][0], m)):
                         best = i
                         break
         return best
@@ -332,28 +351,48 @@ def divide(f, divisors, order):
     list builds its DivisorIndex once and passes it to each call.  The smallest
     dividing index over the index's buckets is the first divisor in the list,
     so both forms divide alike.
+
+    The dividend is reduced in place as one coefficient dict: a step pops its
+    leading term and subtracts q times the divisor's tail, since the lead
+    cancels exactly in an exact field.  Each quotient is a polynomial built
+    once at the end; the quotients of unused divisors share one zero.
     """
     index = (divisors if isinstance(divisors, DivisorIndex)
              else DivisorIndex(divisors, order))
     if index.order != order:
         raise HibiError("the divisor index was built for another order")
     fld = f.field
+    zero = fld.zero
     nvars = f.nvars
     leads = index.leads
-    quotients = [Polynomial.zero(fld, nvars)] * len(leads)
+    polys = index.divisors
+    key = order.key
+    terms = {}  # divisor index -> {quotient monomial: coefficient}
     remainder = {}
-    work = f
-    while not work.is_zero():
-        m, c = work.leading_term(order)
+    work = dict(f.coeffs)
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
         best = index.first_divisor(m)
-        if best < len(leads):
-            lm, lc = leads[best]
-            t = Polynomial.term(fld, nvars, mono_div(m, lm), fld.div(c, lc))
-            quotients[best] = quotients[best] + t
-            work = work - t * index.divisors[best]
-        else:
+        if best == len(leads):
             remainder[m] = c
-            work = work - Polynomial.term(fld, nvars, m, c)
+            continue
+        lm, lc = leads[best]
+        q = tuple(map(sub, m, lm))
+        qc = fld.div(c, lc)
+        # the leading monomial falls at every step, so q is new to its quotient
+        terms.setdefault(best, {})[q] = qc
+        for tm, tc in polys[best].coeffs.items():
+            if tm != lm:
+                t = tuple(map(add, q, tm))
+                v = fld.sub(work.get(t, zero), fld.mul(qc, tc))
+                if v != zero:
+                    work[t] = v
+                else:
+                    del work[t]
+    unused = Polynomial.zero(fld, nvars)
+    quotients = [Polynomial(fld, nvars, terms[i]) if i in terms else unused
+                 for i in range(len(leads))]
     return quotients, Polynomial(fld, nvars, remainder)
 
 

@@ -16,19 +16,9 @@ a pair of diamonds falls into from its relation profile.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConditionViolated, HibiError, InconsistentProfile, NotASyzygy
 from .polynomials import QQ, divide, mono_div, mono_lcm, mono_mul, s_polynomial
-
-
-def _binomial(ideal, i):
-    """Relation i as its two signed terms, x_a x_b and -x_{a|b} x_{a&b}, each
-    monomial a sorted tuple of variables."""
-    a, b = ideal.relations[i].pair
-    L = ideal.lattice
-    return (((a, b) if a < b else (b, a), 1),
-            (tuple(sorted((L.meet[a][b], L.join[a][b]))), -1))
 
 
 def apply_phi(row, ideal):
@@ -36,8 +26,9 @@ def apply_phi(row, ideal):
     {monomial: coefficient} over sorted variable tuples, zeros dropped.  A row
     is a syzygy exactly when its image is empty."""
     image = {}
+    terms = ideal.terms
     for (mu, i), c in row.items():
-        for term, sign in _binomial(ideal, i):
+        for term, sign in terms[i]:
             key = tuple(sorted(mu + term))
             image[key] = image.get(key, 0) + c * sign
     return {k: v for k, v in image.items() if v}
@@ -149,11 +140,12 @@ def schreyer_pair(i, j, ideal):
            (_variables(mono_div(lcm, mj)), j): -1}
     for k, q in enumerate(quotients):
         for m, c in q.coeffs.items():
-            if Fraction(c).denominator != 1:
+            whole = int(c)
+            if whole != c:
                 raise HibiError(f"quotient coefficient {c} of S({i}, {j}) "
                                 "is not a whole number")
             col = (_variables(m), k)
-            row[col] = row.get(col, 0) - int(c)
+            row[col] = row.get(col, 0) - whole
     return {col: c for col, c in row.items() if c}
 
 
@@ -346,8 +338,8 @@ def typed_generator(ideal, kind, witness):
         a1, b1, a2, b2 = witness
         i1 = ideal.generator(a1, b1).index
         i2 = ideal.generator(a2, b2).index
-        row = {(mu, i1): c for mu, c in _binomial(ideal, i2)}
-        row.update({(mu, i2): -c for mu, c in _binomial(ideal, i1)})
+        row = {(mu, i1): c for mu, c in ideal.terms[i2]}
+        row.update({(mu, i2): -c for mu, c in ideal.terms[i1]})
     else:
         index_of = ideal.index_of
         row = {}

@@ -65,12 +65,17 @@ def test_leading_monomial_is_incomparable_product():
 
 
 def test_binomial_shape():
+    """Each relation is a unit binomial of degree 2, and `terms` holds its
+    two signed terms as sorted variable tuples."""
     for L in CENSUS:
         I = hibi_ideal(L)
-        for r in I.relations:
+        for r, terms in zip(I.relations, I.terms, strict=True):
             assert sorted(r.poly.coeffs.values()) == [QQ.of(-1), QQ.of(1)]
             assert r.poly.degree() == 2
             assert r.poly.is_homogeneous()
+            assert all(list(t) == sorted(t) for t, _ in terms)
+            assert {tuple(map(t.count, range(L.n))): sign
+                    for t, sign in terms} == r.poly.coeffs
 
 
 def test_buchberger_census():

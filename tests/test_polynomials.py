@@ -53,6 +53,42 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
 
 
+def rationals():
+    return st.one_of(st.integers(-50, 50),
+                     st.fractions(min_value=-50, max_value=50,
+                                  max_denominator=12))
+
+
+def _normalised(x):
+    """Whole values are ints and the rest Fractions."""
+    return type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+@given(rationals(), rationals())
+@settings(max_examples=200, deadline=None)
+def test_rational_field_is_exact(a, b):
+    """QQ agrees with plain Fraction arithmetic on ints and Fractions, and
+    returns whole values as ints."""
+    fa, fb = Fraction(a), Fraction(b)
+    results = [(QQ.of(a), fa), (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+               (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa)]
+    if b:
+        results.append((QQ.div(a, b), fa / fb))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    for got, expected in results:
+        assert got == expected
+        assert _normalised(got)
+
+
+def test_whole_fraction_coefficient_is_the_int():
+    m = (1, 0, 0, 0)
+    f, g = Polynomial(QQ, NV, {m: Fraction(2)}), Polynomial(QQ, NV, {m: 2})
+    assert f == g and hash(f) == hash(g)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+
+
 # -- order -----------------------------------------------------------------
 
 def test_revlex_basic():
@@ -173,9 +209,11 @@ def test_divide_first_divisor_wins():
 
 
 def _divide_by_scan(f, divisors, order):
-    """Reference division: scan the whole divisor list at every step."""
-    quotients = [P({}) for _ in divisors]
-    remainder = P({})
+    """Reference division over f's field: scan the whole divisor list at
+    every step and subtract whole polynomials."""
+    fld = f.field
+    quotients = [Polynomial.zero(fld, NV) for _ in divisors]
+    remainder = Polynomial.zero(fld, NV)
     work = f
     while not work.is_zero():
         m, c = work.leading_term(order)
@@ -183,20 +221,37 @@ def _divide_by_scan(f, divisors, order):
             lm, lc = g.leading_term(order)
             q = mono_div(m, lm)
             if q is not None:
-                t = Polynomial.term(QQ, NV, q, c / lc)
+                t = Polynomial.term(fld, NV, q, fld.div(c, lc))
                 quotients[i] = quotients[i] + t
                 work = work - t * g
                 break
         else:
-            remainder = remainder + Polynomial.term(QQ, NV, m, c)
-            work = work - Polynomial.term(QQ, NV, m, c)
+            remainder = remainder + Polynomial.term(fld, NV, m, c)
+            work = work - Polynomial.term(fld, NV, m, c)
     return quotients, remainder
+
+
+F7 = PrimeField(7)
+
+
+def polys_mod_7():
+    return st.dictionaries(monos(), st.integers(0, 6), max_size=5).map(
+        lambda coeffs: Polynomial(F7, NV, coeffs))
 
 
 @given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
                          min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_divide_matches_full_scan(f, gs):
+    assert divide(f, gs, ORDER) == _divide_by_scan(f, gs, ORDER)
+
+
+@given(polys_mod_7(), st.lists(polys_mod_7().filter(lambda p: not p.is_zero()),
+                               min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_divide_matches_full_scan_mod_7(f, gs):
+    """The in-place division drops each step's lead without computing it,
+    which holds because c - (c / lc) * lc is exactly 0 mod 7 as well."""
     assert divide(f, gs, ORDER) == _divide_by_scan(f, gs, ORDER)
 
 
@@ -228,6 +283,23 @@ def test_buchberger_builds_one_index(monkeypatch):
     report = buchberger_check(hibi_ideal(grid(4, 4)))
     assert report.pairs_checked == 900
     assert len(built) == 1
+
+
+def test_certificate_builds_no_fraction(monkeypatch):
+    """Over unit-coefficient binomials every coefficient is a whole number,
+    so certifying grid 4x4 constructs no Fraction at all."""
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+    monkeypatch.setattr(polynomials, "Fraction", Counted)
+    assert QQ.div(1, 2) == Fraction(1, 2) and len(built) == 1
+    built.clear()
+    report = buchberger_check(hibi_ideal(grid(4, 4)))
+    assert report.pairs_checked == 900
+    assert built == []
 
 
 def test_normal_form():
