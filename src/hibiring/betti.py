@@ -8,10 +8,10 @@ grid, which is what reduces planar counting to the grid formulas.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
-from .errors import NotJMPair, NotPlanar, OracleMismatch
+from .errors import NotPlanar, OracleMismatch
 from .ideal import hibi_ideal
 from .oracle import (
     GradedBetti,
@@ -73,29 +73,10 @@ def grid_betti(m, n):
 # -- planar formulas ----------------------------------------------------------
 
 
-def _jm_check(L, ti, tj):
-    jm = L.jm_set()
-    if ti not in jm or tj not in jm:
-        raise NotJMPair(f"{L.labels[ti]}, {L.labels[tj]} are not both JM elements")
-    if not L.incomparable(ti, tj):
-        raise NotJMPair(f"{L.labels[ti]}, {L.labels[tj]} are comparable")
-
-
 def _pair_dims(L, ti, tj):
     h = L.height
     base = h[L.meet[ti][tj]]
     return h[ti] - base, h[tj] - base
-
-
-def n_pair_strip(L, ti, tj):
-    """Strip-type count inside the grid interval [ti & tj, ti | tj]."""
-    _jm_check(L, ti, tj)
-    return strip_grid(*_pair_dims(L, ti, tj))
-
-
-def _require_planar(L):
-    if not L.is_planar():
-        raise NotPlanar("formula counting needs a planar lattice")
 
 
 def _jm_pairs(L):
@@ -125,34 +106,6 @@ def _overlap_dims(L, ti, tj, tk):
     return L.height[x] - base, L.height[tj] - base
 
 
-def n_strip_planar(L):
-    _require_planar(L)
-    total = sum(strip_grid(*_pair_dims(L, ti, tj)) for ti, tj in _jm_pairs(L))
-    total -= sum(strip_grid(*_overlap_dims(L, *t)) for t in _jm_triples(L))
-    return total
-
-
-def n_l_planar(L):
-    _require_planar(L)
-    h = L.height
-    total = sum(l_grid(*_pair_dims(L, ti, tj)) for ti, tj in _jm_pairs(L))
-    for ti, tj, tk in _jm_triples(L):
-        total -= l_grid(*_overlap_dims(L, ti, tj, tk))
-        r = h[L.join[ti][tj]] - h[tj]
-        s = h[tj] - h[L.meet[tj][tk]]
-        total += ((h[L.join[tj][tk]] - h[L.join[ti][tj]])
-                  * (h[L.meet[tj][tk]] - h[L.meet[ti][tj]])
-                  * comb(r + 1, 2) * comb(s + 1, 2))
-    return total
-
-
-def n_box_planar(L):
-    _require_planar(L)
-    total = sum(box_grid(*_pair_dims(L, ti, tj)) for ti, tj in _jm_pairs(L))
-    total -= sum(box_grid(*_overlap_dims(L, *t)) for t in _jm_triples(L))
-    return total
-
-
 def n_diamond_planar(L):
     """Number of comparable diamond pairs whose diamond-type syzygy is not
     reducible (syzygy.diamond_reducible) to shared-element types.
@@ -170,7 +123,8 @@ def n_diamond_planar(L):
     criterion that keeps a trivial element breaks this, and planar_betti's
     degree-4 oracle check then reports it.
     """
-    _require_planar(L)
+    if not L.is_planar():
+        raise NotPlanar("formula counting needs a planar lattice")
     return sum(1 for lo, hi in L.comparable_pairs()
                if not diamond_reducible(L, lo, hi))
 
@@ -181,31 +135,62 @@ class PlanarBettiBreakdown:
     nL: int
     nB: int
     nD: int
-    oracle: GradedBetti
+    oracle: GradedBetti | None
 
     @property
     def total(self):
         return self.nS + self.nL + self.nB + self.nD
 
 
-def planar_betti(L):
-    """First Betti number breakdown of a planar lattice by generator type.
+def planar_formula(L):
+    """The closed-form breakdown nS + nL + nB + nD of a planar lattice, with
+    no oracle (its oracle is None).
 
-    Always checked against one run of the exact oracle (degrees 3 and 4),
-    whose rows the breakdown carries as oracle: a disagreement of the diamond
-    count with degree 4, then of the total, raises OracleMismatch with the
-    numbers rather than being reconciled silently.
+    One pass: planarity is checked once, by n_diamond_planar, and the JM
+    pairs and triples are each walked once.  Each pair adds the grid counts
+    of its interval [ti & tj, ti | tj]; each triple subtracts those of the
+    overlap of its two intervals around tj, and adds the L generators that
+    reach across it.
     """
-    _require_planar(L)
     nD = n_diamond_planar(L)
+    h, join, meet = L.height, L.join, L.meet
+    nS = nL = nB = 0
+    for ti, tj in _jm_pairs(L):
+        dims = _pair_dims(L, ti, tj)
+        nS += strip_grid(*dims)
+        nL += l_grid(*dims)
+        nB += box_grid(*dims)
+    for ti, tj, tk in _jm_triples(L):
+        dims = _overlap_dims(L, ti, tj, tk)
+        nS -= strip_grid(*dims)
+        nL -= l_grid(*dims)
+        nB -= box_grid(*dims)
+        r = h[join[ti][tj]] - h[tj]
+        s = h[tj] - h[meet[tj][tk]]
+        nL += ((h[join[tj][tk]] - h[join[ti][tj]])
+               * (h[meet[tj][tk]] - h[meet[ti][tj]])
+               * comb(r + 1, 2) * comb(s + 1, 2))
+    return PlanarBettiBreakdown(nS, nL, nB, nD, None)
+
+
+def planar_betti(L):
+    """First Betti number breakdown of a planar lattice by generator type:
+    planar_formula, checked against one run of the exact oracle (degrees 3
+    and 4), whose rows the breakdown carries as oracle.
+
+    A disagreement of the diamond count with degree 4, then of the total,
+    raises OracleMismatch with the numbers rather than being reconciled
+    silently.
+    """
+    formula = planar_formula(L)
     oracle = graded_betti_oracle(hibi_ideal(L))
     oracle_deg4 = oracle[-1].minimal_generators
-    if nD != oracle_deg4:
+    if formula.nD != oracle_deg4:
         raise OracleMismatch(
-            f"diamond count {nD} disagrees with oracle degree-4 count "
-            f"{oracle_deg4}", breakdown={"diamond": nD, "oracle": oracle_deg4})
-    breakdown = PlanarBettiBreakdown(n_strip_planar(L), n_l_planar(L),
-                                     n_box_planar(L), nD, oracle)
+            f"diamond count {formula.nD} disagrees with oracle degree-4 "
+            f"count {oracle_deg4}",
+            breakdown={"diamond": formula.nD, "oracle": oracle_deg4})
+    breakdown = replace(formula, oracle=oracle)
     if breakdown.total != oracle.total:
         raise OracleMismatch(
             f"formula total {breakdown.total} disagrees with oracle "

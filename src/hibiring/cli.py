@@ -19,11 +19,9 @@ from . import lattice as lat
 from .betti import (
     grid_betti,
     k_of,
-    n_box_planar,
     n_diamond_planar,
-    n_l_planar,
-    n_strip_planar,
     planar_betti,
+    planar_formula,
     planar_linearity,
     typed_minimal_histogram,
 )
@@ -177,9 +175,9 @@ def cmd_betti(args):
             breakdown = {"strip": b.strip, "L": b.l, "box": b.box,
                          "diamond": 0}
         else:
-            breakdown = {"strip": n_strip_planar(L), "L": n_l_planar(L),
-                         "box": n_box_planar(L),
-                         "diamond": n_diamond_planar(L)}
+            f = planar_formula(L)
+            breakdown = {"strip": f.nS, "L": f.nL, "box": f.nB,
+                         "diamond": f.nD}
         formula_total = sum(breakdown.values())
         report["formula"] = {"breakdown": breakdown, "total": formula_total}
         lines.append("formula: "
@@ -233,20 +231,21 @@ def cmd_census(args):
             continue  # the one-element lattice has no relations at all
         examined += 1
         ideal = hibi_ideal(L)
-        row = {"elements": L.n, "planar": L.is_planar(), "k": k_of(L)}
+        planar = L.is_planar()
+        row = {"elements": L.n, "planar": planar, "k": k_of(L)}
         pb = None  # planar_betti's breakdown, reused by the linearity check
         try:
             if "gb" in checks:
                 buchberger_check(ideal)
                 row["gb"] = "pass"
             if "betti" in checks:
-                if L.is_planar():
+                if planar:
                     pb = planar_betti(L)
                     row["betti"] = pb.total
                 else:
                     row["betti"] = "skipped (not planar)"
             if "linearity" in checks:
-                if L.is_planar():
+                if planar:
                     if pb is None:
                         nD = n_diamond_planar(L)
                         linear = is_linear_first_syzygy(ideal)

@@ -21,10 +21,6 @@ class NotDistributive(HibiError):
         super().__init__(f"distributive law fails on triple {witness}")
 
 
-class NotGraded(HibiError):
-    """A cover relation does not raise height by exactly 1."""
-
-
 class NotComparable(HibiError):
     pass
 
@@ -56,10 +52,6 @@ class InconsistentProfile(HibiError):
 
 class ConditionViolated(HibiError):
     """A typed-generator witness fails one of its defining conditions."""
-
-
-class NotJMPair(HibiError):
-    pass
 
 
 class NotPlanar(HibiError):

@@ -13,7 +13,6 @@ from .errors import (
     NotALattice,
     NotComparable,
     NotDistributive,
-    NotGraded,
 )
 
 
@@ -32,7 +31,7 @@ class Lattice:
     def __init__(self, labels, up):
         # up[a] = frozenset of b with a <= b (reflexive); validated by callers
         # via _build, which fills joins, meets, covers, heights and checks the
-        # lattice + distributivity + gradedness axioms.
+        # lattice and distributivity axioms.
         self.n = len(labels)
         self.labels = tuple(labels)
         self._up = tuple(up)
@@ -96,16 +95,9 @@ class Lattice:
                     covers.append((a, b))
         self.covers = tuple(sorted(covers))
 
-        height = [0] * n
-        for a in sorted(range(n), key=lambda a: len(down[a])):
-            lows = [x for (x, y) in self.covers if y == a]
-            height[a] = max((height[x] + 1 for x in lows), default=0)
-        self.height = tuple(height)
-        for (a, b) in self.covers:
-            if height[b] != height[a] + 1:
-                raise NotGraded(
-                    f"cover {self.labels[a]} < {self.labels[b]} skips rank "
-                    f"{height[a]} -> {height[b]}")
+        # Birkhoff: the rank of a is the number of join-irreducibles below it
+        ji = self.join_irreducibles()
+        self.height = tuple(len(down[a] & ji) for a in range(n))
 
     # -- queries ----------------------------------------------------------
 

@@ -385,35 +385,21 @@ def all_typed_generators(ideal):
     return [t for fw in classified for t in _family_generators(ideal, *fw)]
 
 
-# -- diamond comparability and reducibility -------------------------------------
+# -- diamond reducibility -----------------------------------------------------
 
 
-def diamond_comparable(L, d1, d2):
-    """True iff every element of one diamond lies below every element of the
-    other (equivalently: one pair's join is below the other pair's meet)."""
-    _require_disjoint(L, d1, d2)
-    return (L.le(L.join[d1[0]][d1[1]], L.meet[d2[0]][d2[1]])
-            or L.le(L.join[d2[0]][d2[1]], L.meet[d1[0]][d1[1]]))
-
-
-def _require_disjoint(L, d1, d2):
-    if len({*d1, *d2}) != 4:
-        raise HibiError("diamonds must be element-disjoint")
-    if not (L.incomparable(*d1) and L.incomparable(*d2)):
-        raise HibiError("both pairs must be incomparable")
-
-
-def diamond_reducible(L, d1, d2):
-    """Whether the diamond-type syzygy of two disjoint diamonds is a
+def diamond_reducible(L, lo, hi):
+    """Whether the diamond-type syzygy of a comparable pair of diamonds is a
     combination of the shared-element typed generators.
 
-    True for non-comparable diamonds; for comparable ones, true iff some
-    diamond (a, b) bridges them: its meet is an element of the lower diamond
-    and its join an element of the upper one.
+    (lo, hi) must be a comparable pair as Lattice.comparable_pairs lists it:
+    two incomparable pairs with join(lo) <= meet(hi), hence element-disjoint
+    with lo the lower one.  This is not checked.  The pair is called
+    reducible iff some diamond (a, b) bridges it: its meet is an element of
+    lo and its join an element of hi.  That is too generous: on the planar
+    lattices of at most 12 elements it calls 13 pairs reducible whose
+    degree-4 fiber still carries a minimal syzygy
+    (tests/test_betti.py::test_diamond_criteria_pair_by_pair).
     """
-    if not diamond_comparable(L, d1, d2):  # checks the pairs first
-        return True
-    if L.le(L.join[d2[0]][d2[1]], L.meet[d1[0]][d1[1]]):
-        d1, d2 = d2, d1
     diamonds = L.diamonds()
-    return any((x, y) in diamonds for x in d1 for y in d2)
+    return any((x, y) in diamonds for x in lo for y in hi)

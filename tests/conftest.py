@@ -145,7 +145,8 @@ def boolean_cube():
 def count_calls(monkeypatch):
     """count_calls(module, name) wraps the function module.name in a counter,
     rebound under every name a hibiring module binds the function to, and
-    returns the list of argument tuples its calls append to."""
+    returns the list of argument tuples its calls append to.  Given a class
+    instead of a module, it wraps the method on the class."""
     def install(module, name):
         fn = getattr(module, name)
         calls = []
@@ -153,6 +154,9 @@ def count_calls(monkeypatch):
         def counted(*args, **kwargs):
             calls.append(args)
             return fn(*args, **kwargs)
+        if isinstance(module, type):
+            monkeypatch.setattr(module, name, counted)
+            return calls
         for modname, mod in list(sys.modules.items()):
             if modname.partition(".")[0] != "hibiring":
                 continue

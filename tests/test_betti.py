@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,27 +12,26 @@ from hibiring.betti import (
     k_of,
     l_2n,
     l_grid,
-    n_box_planar,
     n_diamond_planar,
-    n_l_planar,
-    n_pair_strip,
-    n_strip_planar,
     planar_betti,
+    planar_formula,
     planar_linearity,
     strip_1d,
     strip_grid,
     typed_minimal_histogram,
 )
-from hibiring.errors import NotJMPair, NotPlanar, OracleMismatch
+from hibiring.errors import NotPlanar, OracleMismatch
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import (
     RowSpan,
+    fiber_codes,
     first_betti_oracle,
     graded_betti_oracle,
     is_linear_first_syzygy,
     kernel_dim,
+    reduced_h1,
 )
-from hibiring.syzygy import FINE_KINDS, all_typed_generators
+from hibiring.syzygy import FINE_KINDS, all_typed_generators, diamond_reducible
 
 PLANAR_CENSUS = [L for L in enumerate_distributive(8) if L.is_planar()]
 
@@ -98,26 +99,15 @@ def test_grid_betti_symmetric():
 # -- planar formulas -----------------------------------------------------------
 
 
-def test_n_pair_strip():
-    L = grid(2, 3)
-    (ti, tj), = [(a, b) for a in L.jm_set() for b in L.jm_set()
-                 if a < b and L.incomparable(a, b)]
-    assert n_pair_strip(L, ti, tj) == 36
-    with pytest.raises(NotJMPair):
-        n_pair_strip(L, 0, ti)
-
-
 def test_planar_census_matches_oracle():
     for L in PLANAR_CENSUS:
         assert planar_betti(L).total == first_betti_oracle(hibi_ideal(L))
 
 
 def test_planar_pieces_on_grid():
-    L = grid(2, 3)
-    assert n_strip_planar(L) == 36
-    assert n_l_planar(L) == 8
-    assert n_box_planar(L) == 8
-    assert n_diamond_planar(L) == 0
+    f = planar_formula(grid(2, 3))
+    assert (f.nS, f.nL, f.nB, f.nD) == (36, 8, 8, 0)
+    assert f.oracle is None
 
 
 def test_stacked_diamonds_betti(stacked_diamonds):
@@ -153,6 +143,52 @@ def test_diamond_count_against_oracle_to_twelve(census_to_twelve):
     assert short == {10: 1, 11: 2, 12: 7}
 
 
+def _spine_reducible(L, lo, hi):
+    """The conjectured diamond criterion (unproven): the comparable pair
+    (lo, hi) reduces iff some bridge, an incomparable pair (a, b) with its
+    meet in lo and its join in hi, has a or b on the spine, the elements
+    comparable to both join(lo) and meet(hi)."""
+    j, m = L.join[lo[0]][lo[1]], L.meet[hi[0]][hi[1]]
+
+    def on_spine(x):
+        return not L.incomparable(x, j) and not L.incomparable(x, m)
+    return any(L.meet[a][b] in lo and L.join[a][b] in hi
+               and (on_spine(a) or on_spine(b))
+               for a, b in L.incomparable_pairs())
+
+
+def test_diamond_criteria_pair_by_pair(census_to_twelve):
+    """Each comparable pair of a planar lattice of 2-12 elements against
+    H~_1 of its own degree-4 fiber, read off S_4 directly.  H~_1 is 0 or 1;
+    the spine criterion is exactly H~_1 = 0, while diamond_reducible calls 13
+    pairs with H~_1 = 1 reducible, the pairs n_diamond_planar misses."""
+    pairs = positive = 0
+    missed = {}  # lattice size -> pairs diamond_reducible gets wrong
+    lattices = set()
+    for L in census_to_twelve:
+        if L.n < 2 or not L.is_planar():
+            continue
+        codes = fiber_codes(L, 4)
+        fibers = {}
+        for mono in combinations_with_replacement(range(L.n), 4):
+            fibers.setdefault(sum(map(codes.__getitem__, mono)), []).append(
+                mono)
+        for lo, hi in L.comparable_pairs():
+            fiber = fibers[sum(map(codes.__getitem__, lo + hi))]
+            h1 = reduced_h1([set(mono) for mono in fiber])
+            assert h1 in (0, 1)
+            assert _spine_reducible(L, lo, hi) == (h1 == 0)
+            if diamond_reducible(L, lo, hi) != (h1 == 0):
+                assert h1 == 1
+                missed[L.n] = missed.get(L.n, 0) + 1
+                lattices.add(L)
+            pairs += 1
+            positive += h1
+    assert (pairs, positive) == (587, 432)
+    assert missed == {10: 1, 11: 2, 12: 10}
+    assert len(lattices) == 10
+
+
 def test_overlapping_grids_betti():
     for dims in [(2, 1, 1, 2), (3, 1, 1, 3), (3, 1, 2, 3)]:
         L = overlapping_grids(*dims)
@@ -163,7 +199,7 @@ def test_not_planar_rejected(boolean_cube):
     with pytest.raises(NotPlanar):
         planar_betti(boolean_cube)
     with pytest.raises(NotPlanar):
-        n_strip_planar(boolean_cube)
+        planar_formula(boolean_cube)
 
 
 def test_cross_grid_l_type_reported_not_patched(bridged_diamonds):

@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from hibiring import betti, enumerate_distributive, ideal, oracle, syzygy
+from hibiring import (
+    Lattice,
+    betti,
+    enumerate_distributive,
+    ideal,
+    oracle,
+    syzygy,
+)
 from hibiring.cli import main
 from hibiring.polynomials import QQ, Polynomial
 
@@ -237,6 +244,21 @@ def test_betti_file_disagreement_reported(capsys, lattice_file, count_calls,
     assert code == 0
     assert out.startswith("formula: ")
     assert calls == [] and ideal_calls == []
+
+
+def test_betti_formula_walks_the_jm_elements_once(capsys, lattice_file,
+                                                  count_calls,
+                                                  bridged_diamonds):
+    """--mode formula checks planarity once and walks the JM pairs and
+    triples once each, for all four terms of the planar formula."""
+    planar = count_calls(Lattice, "is_planar")
+    pairs = count_calls(betti, "_jm_pairs")
+    triples = count_calls(betti, "_jm_triples")
+    path = lattice_file(bridged_diamonds.to_json_dict())
+    code, out, _ = run(capsys, "betti", "--file", path, "--mode", "formula")
+    assert code == 0
+    assert out == "formula: 24 + 8 + 2 + 0 = 34\n"
+    assert (len(planar), len(pairs), len(triples)) == (1, 1, 1)
 
 
 def test_syzygy_builds_typed_generators_once(capsys, count_calls):

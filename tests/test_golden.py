@@ -1,0 +1,46 @@
+"""Golden CLI outputs: the sha256 of stdout and the exit code of a fixed set
+of commands.  A change that alters one of these outputs on purpose updates
+its digest here and says so in CHANGES.md."""
+
+import hashlib
+import json
+
+from hibiring.cli import main
+
+# (argv, exit code, sha256 of stdout); "{name}" stands for a lattice file
+# written from the conftest fixture of that name
+GOLDEN = [
+    ("betti --grid 3 3 --format json", 0,
+     "c2ee9ba82fbcc8bfb2136f1f345806abdbe58614362692c77073d6f1815bde58"),
+    ("census --max-elements 10 --format json", 2,
+     "6cc592b4cdadf9c4b7a8ac6804abde7131ca44431e620ba5acd199e9a4e0e763"),
+    ("syzygy --grid 2 3 --verify --classify", 0,
+     "83d2521b9959c4098830745b4842e5f06e12f9d4d482a75142b2961d4cfff0f2"),
+    ("syzygy --grid 3 3 --verify --format json", 0,
+     "f71e18bb7c9be7674b66a5246d021039559b3e5791555c626724820b4f6b3622"),
+    ("linearity --grid 6 6 --verify", 0,
+     "0b0f08b8dcd3a253ff84e887526e7b78e85de7810ebdb34b1532a35657c6e4c0"),
+    ("betti --file {diamond_counterexample} --mode both --format json", 2,
+     "3eced76e90a10c3c158f9c8a680c31c2192e7d87c18c11847bd3eb0d99d7abf9"),
+    ("betti --file {bridged_diamonds} --mode formula", 0,
+     "6426ef9a9ceeb0a0ee326f080a38d3f51bbf22f8cf7693fcf07c9f06edcc18da"),
+    ("ideal --grid 2 3 --export m2", 0,
+     "e87b19ca1594a8fa295b1685a34fa204e2f91ccc4e5d374d0d5222aa62b8464b"),
+    ("lattice --grid 2 3 --format json", 0,
+     "949b69e0f9a945e5c48a73fce92304da7fd2f911d9f28a355937d827cb6bca1f"),
+]
+
+
+def test_golden_outputs(capsys, tmp_path, diamond_counterexample,
+                        bridged_diamonds):
+    files = {}
+    for name, L in [("diamond_counterexample", diamond_counterexample),
+                    ("bridged_diamonds", bridged_diamonds)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(L.to_json_dict()))
+        files[name] = str(path)
+    for command, code, digest in GOLDEN:
+        got = main(command.format(**files).split())
+        out = capsys.readouterr().out
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (
+            code, digest), command
