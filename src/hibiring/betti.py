@@ -8,8 +8,8 @@ grid, which is what reduces planar counting to the grid formulas.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from math import comb
+from typing import NamedTuple
 
 from .errors import NotPlanar, OracleMismatch
 from .ideal import hibi_ideal
@@ -53,8 +53,7 @@ def box_grid(m, n):
     return l_grid(m, n)
 
 
-@dataclass(frozen=True)
-class GridBettiBreakdown:
+class GridBettiBreakdown(NamedTuple):
     m: int
     n: int
     strip: int
@@ -129,8 +128,7 @@ def n_diamond_planar(L):
                if not diamond_reducible(L, lo, hi))
 
 
-@dataclass(frozen=True)
-class PlanarBettiBreakdown:
+class PlanarBettiBreakdown(NamedTuple):
     nS: int
     nL: int
     nB: int
@@ -190,7 +188,7 @@ def planar_betti(L):
             f"diamond count {formula.nD} disagrees with oracle degree-4 "
             f"count {oracle_deg4}",
             breakdown={"diamond": formula.nD, "oracle": oracle_deg4})
-    breakdown = replace(formula, oracle=oracle)
+    breakdown = formula._replace(oracle=oracle)
     if breakdown.total != oracle.total:
         raise OracleMismatch(
             f"formula total {breakdown.total} disagrees with oracle "
@@ -272,8 +270,7 @@ def k_of(L):
     return len(_jm_pairs(L))
 
 
-@dataclass(frozen=True)
-class LinearityVerdict:
+class LinearityVerdict(NamedTuple):
     k: int
     verdict: str  # "linear" or "nonlinear"
     reason: str

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import lattice as lat
 from .betti import (
@@ -35,7 +36,7 @@ from .ideal import (
 )
 from .oracle import graded_betti_oracle, is_linear_first_syzygy
 from .polynomials import QQ, PrimeField
-from .syzygy import all_typed_generators
+from .syzygy import FINE_KINDS, all_typed_generators
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -143,19 +144,41 @@ def cmd_ideal(args):
     return EXIT_OK
 
 
+def _syzygy_json(labels, gens, report):
+    """json.dumps(report, indent=2, sort_keys=True) for report plus the
+    generator listing [{"kind": ..., "witness": [label, ...]}, ...], written
+    from the kinds and labels encoded once.  "generators" sorts first among
+    the keys, so the rest of the report follows the listing unchanged."""
+    label = [encode_basestring_ascii(x) for x in labels]
+    kind = {k: encode_basestring_ascii(k) for k in FINE_KINDS}
+    item = '    {\n      "kind": %s,\n      "witness": [\n        %s\n      ]\n    }'
+    sep = ",\n        "
+    items = [item % (kind[t.kind], sep.join(map(label.__getitem__, t.witness)))
+             for t in gens]
+    listing = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    rest = json.dumps(report, indent=2, sort_keys=True)
+    return '{\n  "generators": ' + listing + ",\n" + rest[2:] + "\n"
+
+
 def cmd_syzygy(args):
     L = _load_lattice(args)
     ideal = hibi_ideal(L)
     gens = all_typed_generators(ideal)  # each one checked against phi = 0
     hist = typed_minimal_histogram(ideal, gens)
-    listing = [{"kind": t.kind,
-                "witness": [L.labels[v] for v in t.witness]} for t in gens]
-    report = {"generators": listing, "minimal_histogram": hist,
-              "total": sum(hist.values()), "verified": bool(args.verify)}
+    report = {"minimal_histogram": hist, "total": sum(hist.values()),
+              "verified": bool(args.verify)}
+    if args.format == "json":
+        sys.stdout.write(_syzygy_json(L.labels, gens, report))
+        return EXIT_OK
+    if args.format == "csv":
+        report["generators"] = [
+            {"kind": t.kind, "witness": [L.labels[v] for v in t.witness]}
+            for t in gens]
     lines = []
     if args.classify:
-        lines += [f"  {g['kind']} witness ({', '.join(g['witness'])})"
-                  for g in listing]
+        lines += [f"  {t.kind} witness "
+                  f"({', '.join(L.labels[v] for v in t.witness)})"
+                  for t in gens]
     lines.append("minimal histogram: "
                  + ", ".join(f"{k}={v}" for k, v in hist.items()))
     lines.append(f"total minimal generators: {report['total']}")

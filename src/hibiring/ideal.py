@@ -16,17 +16,15 @@ reduced; a zero remainder is a standard representation, and the coprime pairs
 need no computation.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import polynomials as pa
 from .errors import NotGroebner
-from .polynomials import (QQ, DivisorIndex, Polynomial, RevLex, divide,
-                          s_polynomial)
+from .polynomials import QQ, DivisorIndex, Polynomial, RevLex, s_polynomial
 
 
-@dataclass(frozen=True)
-class DiamondRelation:
+class DiamondRelation(NamedTuple):
     """One generator: the incomparable pair, its binomial, and its position in
     the canonical generator list."""
     pair: tuple
@@ -48,6 +46,7 @@ class HibiIdeal:
         self.order = RevLex(n, rank)
         self.relations = []
         self.index_of = {}
+        self._term_codes = {}
         for k, (a, b) in enumerate(lattice.incomparable_pairs()):
             mono_ab = _mono(n, a, b)
             mono_jm = _mono(n, lattice.join[a][b], lattice.meet[a][b])
@@ -79,6 +78,19 @@ class HibiIdeal:
         return [(((a, b), 1), (tuple(sorted((L.meet[a][b], L.join[a][b]))), -1))
                 for a, b in (r.pair for r in self.relations)]
 
+    def term_codes(self, base):
+        """(units, codes) for monomials written as one int, a base-`base`
+        digit per variable: units[v] = base**v is x_v, and codes[i] holds the
+        codes of the two terms of relation i, x_a x_b and x_{a|b} x_{a&b}.
+        Built once per base."""
+        cached = self._term_codes.get(base)
+        if cached is None:
+            units = [base ** v for v in range(self.lattice.n)]
+            codes = [tuple(sum(map(units.__getitem__, mono)) for mono, _ in t)
+                     for t in self.terms]
+            cached = self._term_codes[base] = (units, codes)
+        return cached
+
     def variable_names(self, style="plain"):
         n = self.lattice.n
         if style == "m2":
@@ -102,8 +114,7 @@ def hibi_ideal(lattice, field=QQ):
     return HibiIdeal(lattice, field)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """pairs_checked + pairs_skipped is the number of generator pairs."""
     pairs_checked: int
     pairs_skipped: int
@@ -122,7 +133,8 @@ def buchberger_check(ideal):
     module docstring).  The leads are read from the polynomials themselves, so
     a relation whose lead was changed is paired by its actual lead, and
     reduced against the actual leads: every reduction uses one DivisorIndex
-    of the generator list, built here.  Each lead's support is a bitmask, so
+    of the generator list, built here, and keeps only the remainder (the
+    quotients are never built).  Each lead's support is a bitmask, so
     the coprime test is one AND per pair.  Raises NotGroebner naming the first
     checked pair that leaves a remainder.
     """
@@ -140,7 +152,7 @@ def buchberger_check(ideal):
                 continue
             s = s_polynomial(polys[i], polys[j], order)
             max_terms = max(max_terms, len(s.coeffs))
-            _, r = divide(s, index, order)
+            r = pa.normal_form(s, index, order)
             checked += 1
             if not r.is_zero():
                 raise NotGroebner((ideal.relations[i].pair, ideal.relations[j].pair))

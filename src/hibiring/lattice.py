@@ -26,7 +26,7 @@ class Lattice:
 
     __slots__ = ("n", "labels", "leq", "join", "meet", "covers", "height",
                  "parent_map", "_up", "_down", "_diamonds",
-                 "_comparable_pairs")
+                 "_comparable_pairs", "_jm_set")
 
     def __init__(self, labels, up):
         # up[a] = frozenset of b with a <= b (reflexive); validated by callers
@@ -38,6 +38,7 @@ class Lattice:
         self.parent_map = None
         self._diamonds = None
         self._comparable_pairs = None
+        self._jm_set = None
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -163,7 +164,12 @@ class Lattice:
         return {a for a in range(self.n) if upper[a] == 1}
 
     def jm_set(self):
-        return self.join_irreducibles() & self.meet_irreducibles()
+        """The elements both join- and meet-irreducible, as a frozenset built
+        on the first call."""
+        if self._jm_set is None:
+            self._jm_set = frozenset(self.join_irreducibles()
+                                     & self.meet_irreducibles())
+        return self._jm_set
 
     def interval(self, a, b):
         """The induced sublattice on {x : a <= x <= b}; parent_map maps back."""

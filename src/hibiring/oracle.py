@@ -101,10 +101,10 @@ there are none.  So every degree-3 syzygy is minimal: the degree-3 row is
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
+from typing import NamedTuple
 
 # The degree bound proved in the module docstring.
 TOP_DEGREE = 4
@@ -115,8 +115,7 @@ TOP_DEGREE = 4
 # monomials.
 
 
-@dataclass(frozen=True)
-class GradedBettiRow:
+class GradedBettiRow(NamedTuple):
     degree: int
     kernel_dim: int
     trivial_dim: int

@@ -352,10 +352,29 @@ def divide(f, divisors, order):
     dividing index over the index's buckets is the first divisor in the list,
     so both forms divide alike.
 
+    Each quotient is a polynomial built once at the end; the quotients of
+    unused divisors share one zero.
+    """
+    index, terms, remainder = _reduce(f, divisors, order)
+    fld, nvars = f.field, f.nvars
+    unused = Polynomial.zero(fld, nvars)
+    quotients = [Polynomial(fld, nvars, terms[i]) if i in terms else unused
+                 for i in range(len(index.leads))]
+    return quotients, remainder
+
+
+def normal_form(f, divisors, order):
+    """The remainder of divide(f, divisors, order), with no quotient built."""
+    return _reduce(f, divisors, order)[2]
+
+
+def _reduce(f, divisors, order):
+    """The reduction loop of divide: (index, quotient terms, remainder), the
+    terms as {divisor index: {monomial: coefficient}} over used divisors only.
+
     The dividend is reduced in place as one coefficient dict: a step pops its
     leading term and subtracts q times the divisor's tail, since the lead
-    cancels exactly in an exact field.  Each quotient is a polynomial built
-    once at the end; the quotients of unused divisors share one zero.
+    cancels exactly in an exact field.
     """
     index = (divisors if isinstance(divisors, DivisorIndex)
              else DivisorIndex(divisors, order))
@@ -363,11 +382,10 @@ def divide(f, divisors, order):
         raise HibiError("the divisor index was built for another order")
     fld = f.field
     zero = fld.zero
-    nvars = f.nvars
     leads = index.leads
     polys = index.divisors
     key = order.key
-    terms = {}  # divisor index -> {quotient monomial: coefficient}
+    terms = {}
     remainder = {}
     work = dict(f.coeffs)
     while work:
@@ -390,14 +408,7 @@ def divide(f, divisors, order):
                     work[t] = v
                 else:
                     del work[t]
-    unused = Polynomial.zero(fld, nvars)
-    quotients = [Polynomial(fld, nvars, terms[i]) if i in terms else unused
-                 for i in range(len(leads))]
-    return quotients, Polynomial(fld, nvars, remainder)
-
-
-def normal_form(f, divisors, order):
-    return divide(f, divisors, order)[1]
+    return index, terms, Polynomial(fld, f.nvars, remainder)
 
 
 def s_polynomial(f, g, order):

@@ -15,7 +15,7 @@ diamond type D for element-disjoint pairs.  classify_pair decides which family
 a pair of diamonds falls into from its relation profile.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConditionViolated, HibiError, InconsistentProfile, NotASyzygy
 from .polynomials import QQ, divide, mono_div, mono_lcm, mono_mul, s_polynomial
@@ -24,14 +24,40 @@ from .polynomials import QQ, divide, mono_div, mono_lcm, mono_mul, s_polynomial
 def apply_phi(row, ideal):
     """phi of an integer row {(mu, i): c}: the sum of c * mu * relation_i, as
     {monomial: coefficient} over sorted variable tuples, zeros dropped.  A row
-    is a syzygy exactly when its image is empty."""
+    is a syzygy exactly when its image is empty.
+
+    The image is summed over monomials written as one int each, a digit per
+    variable in a base one above the row's degree (HibiIdeal.term_codes).  No
+    exponent reaches the base, so two monomials share a code only when they
+    are equal.  Only the nonzero entries are decoded to sorted tuples.
+    """
+    if not row:
+        return {}
+    base = 3 + max([len(mu) for mu, _ in row])
+    units, codes = ideal.term_codes(base)
     image = {}
-    terms = ideal.terms
+    get = image.get
     for (mu, i), c in row.items():
-        for term, sign in terms[i]:
-            key = tuple(sorted(mu + term))
-            image[key] = image.get(key, 0) + c * sign
-    return {k: v for k, v in image.items() if v}
+        shift = 0
+        for v in mu:
+            shift += units[v]
+        lead, tail = codes[i]
+        lead += shift
+        tail += shift
+        image[lead] = get(lead, 0) + c
+        image[tail] = get(tail, 0) - c
+    return {_decode(code, base): c for code, c in image.items() if c}
+
+
+def _decode(code, base):
+    """The sorted variable tuple whose base-`base` digits are code."""
+    mono = []
+    v = 0
+    while code:
+        code, e = divmod(code, base)
+        mono += [v] * e
+        v += 1
+    return tuple(mono)
 
 
 # -- module orders and division on rows -----------------------------------------
@@ -223,8 +249,7 @@ def classify_pair(L, p1, p2):
 # -- typed generators -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypedSyzygy:
+class TypedSyzygy(NamedTuple):
     """A typed generator as an integer row {(mu, i): coefficient}: the column
     mu * e_i, mu a sorted tuple of variables (oracle's row keys)."""
     kind: str

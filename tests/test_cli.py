@@ -8,6 +8,8 @@ from hibiring import (
     Lattice,
     betti,
     enumerate_distributive,
+    from_json_dict,
+    grid,
     ideal,
     oracle,
     syzygy,
@@ -145,6 +147,43 @@ def test_syzygy_classify_listing(capsys):
     assert code == 0
     assert out.count("S1 witness") == 1
     assert out.count("D witness") == 1
+
+
+def _syzygy_report(L, verified):
+    """The syzygy JSON report built with one dict per typed generator."""
+    I = ideal.hibi_ideal(L)
+    gens = syzygy.all_typed_generators(I)
+    hist = betti.typed_minimal_histogram(I, gens)
+    listing = [{"kind": t.kind, "witness": [L.labels[v] for v in t.witness]}
+               for t in gens]
+    return {"generators": listing, "minimal_histogram": hist,
+            "total": sum(hist.values()), "verified": verified}
+
+
+def test_syzygy_json_empty_listing(capsys):
+    code, out, _ = run(capsys, "syzygy", "--grid", "1", "1", "--format",
+                       "json")
+    report = _syzygy_report(grid(1, 1), False)
+    assert code == 0
+    assert report["generators"] == []
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_syzygy_json_escapes_labels(capsys, lattice_file):
+    """Labels with a quote, a backslash, a tab and non-ASCII characters are
+    written as json.dumps writes them."""
+    doc = {"elements": ["0", 'say "x"', "back\\slash", "caf\u00e9",
+                        "\u03bb\t", "1"],
+           "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [2, 4], [3, 5], [4, 5]]}
+    code, out, _ = run(capsys, "syzygy", "--file", lattice_file(doc),
+                       "--verify", "--format", "json")
+    report = _syzygy_report(from_json_dict(doc), True)
+    assert code == 0
+    assert len(report["generators"]) == 3
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    for escaped in ('"say \\"x\\""', '"back\\\\slash"', '"caf\\u00e9"',
+                    '"\\u03bb\\t"'):
+        assert escaped in out
 
 
 def test_betti_both_worked_example(capsys):

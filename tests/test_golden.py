@@ -18,6 +18,8 @@ GOLDEN = [
      "83d2521b9959c4098830745b4842e5f06e12f9d4d482a75142b2961d4cfff0f2"),
     ("syzygy --grid 3 3 --verify --format json", 0,
      "f71e18bb7c9be7674b66a5246d021039559b3e5791555c626724820b4f6b3622"),
+    ("syzygy --grid 4 4 --verify --format json", 0,
+     "da45ccc595b5eb468b2bcb183f5510ca6206b138fdebe22af407e42dacf7b664"),
     ("linearity --grid 6 6 --verify", 0,
      "0b0f08b8dcd3a253ff84e887526e7b78e85de7810ebdb34b1532a35657c6e4c0"),
     ("betti --file {diamond_counterexample} --mode both --format json", 2,

@@ -138,6 +138,15 @@ def test_irreducibles_grid():
     assert g.jm_set() == {3, 8}
 
 
+def test_jm_set_built_once(count_calls):
+    g = grid(2, 3)
+    calls = count_calls(Lattice, "join_irreducibles")
+    jm = g.jm_set()
+    assert isinstance(jm, frozenset) and jm == {3, 8}
+    assert g.jm_set() is jm
+    assert len(calls) == 1
+
+
 def test_interval():
     g = grid(2, 3)
     sub = g.interval(0, 6)

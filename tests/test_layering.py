@@ -1,8 +1,12 @@
 """The package's import layering: intra-package imports run one way, from
 errors and polynomials up through lattice, ideal, syzygy and oracle, betti
-to cli, and no module imports another module's private names."""
+to cli, and no module imports another module's private names.  Importing
+the command line stays lean: it loads neither dataclasses nor inspect."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hibiring"
@@ -65,3 +69,15 @@ def test_no_private_imports():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in aliases]
     assert wrong == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A fresh interpreter without site imports hibiring.cli and holds
+    neither dataclasses nor inspect: the records are named tuples, and
+    dataclasses alone would pull in inspect, ast, dis and tokenize."""
+    probe = ("import sys, hibiring.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -264,6 +264,15 @@ def test_divide_by_index_matches_list(f, gs):
     assert divide(f, gs, ORDER) == expected
 
 
+@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
+                         min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_normal_form_is_the_division_remainder(f, gs):
+    remainder = _divide_by_scan(f, gs, ORDER)[1]
+    assert normal_form(f, gs, ORDER) == remainder
+    assert normal_form(f, DivisorIndex(gs, ORDER), ORDER) == remainder
+
+
 def test_divide_rejects_index_of_other_order():
     index = DivisorIndex([P({(1, 0, 0, 0): 1})], RevLex(NV, rank=[3, 2, 1, 0]))
     with pytest.raises(HibiError):
@@ -283,6 +292,17 @@ def test_buchberger_builds_one_index(monkeypatch):
     report = buchberger_check(hibi_ideal(grid(4, 4)))
     assert report.pairs_checked == 900
     assert len(built) == 1
+
+
+def test_buchberger_builds_no_quotients(count_calls):
+    """The certificate keeps only remainders: its 900 reductions of grid 4x4
+    are normal forms, and divide, which builds one quotient per divisor, is
+    not called."""
+    divides = count_calls(polynomials, "divide")
+    forms = count_calls(polynomials, "normal_form")
+    report = buchberger_check(hibi_ideal(grid(4, 4)))
+    assert (report.pairs_checked, report.pairs_skipped) == (900, 4050)
+    assert (len(divides), len(forms)) == (0, 900)
 
 
 def test_certificate_builds_no_fraction(monkeypatch):

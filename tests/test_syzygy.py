@@ -180,6 +180,26 @@ def test_integer_phi_matches_polynomial_reference():
                 assert image and image == _phi_reference(flipped, I)
 
 
+@pytest.mark.parametrize("power", [3, 6])
+def test_integer_phi_on_shifted_rows(power):
+    """The integer phi equals the Polynomial image on the typed rows of grid
+    2x3 shifted by x_v**power, for each variable v of the row: degrees 6-7
+    and 9-10, empty as shifted and nonempty with one sign flipped.  An
+    exponent reaches power + 2 there, so a digit base fitted to the unshifted
+    degree would carry into the next variable and the flipped images would
+    differ."""
+    I = hibi_ideal(grid(2, 3))
+    for t in all_typed_generators(I):
+        for v in {v for mu, _ in t.row for v in mu}:
+            shifted = {(tuple(sorted(mu + (v,) * power)), i): c
+                       for (mu, i), c in t.row.items()}
+            assert apply_phi(shifted, I) == _phi_reference(shifted, I) == {}
+            key = next(iter(shifted))
+            flipped = {**shifted, key: -shifted[key]}
+            image = apply_phi(flipped, I)
+            assert image and image == _phi_reference(flipped, I)
+
+
 def test_typed_span_equals_kernel_census():
     for L in CENSUS:
         I = hibi_ideal(L)
