@@ -35,7 +35,6 @@ from .ideal import (
     to_singular,
 )
 from .oracle import graded_betti_oracle, is_linear_first_syzygy
-from .polynomials import QQ, PrimeField
 from .syzygy import FINE_KINDS, all_typed_generators
 
 EXIT_OK = 0
@@ -44,15 +43,17 @@ EXIT_MISMATCH = 2
 
 
 def _parse_field(text, nvars):
+    """The characteristic --field names: 0 for qq, P for fp:P."""
     if text == "qq":
-        return QQ
+        return 0
     if text.startswith("fp:"):
         p = int(text[3:])
-        field = PrimeField(p)
+        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+            raise ValueError(f"{p} is not prime")
         if p <= nvars:
             raise ValueError(
                 f"prime {p} must exceed the number of variables ({nvars})")
-        return field
+        return p
     raise ValueError(f"unknown field {text!r}; use qq or fp:P")
 
 
@@ -124,15 +125,16 @@ def cmd_lattice(args):
 
 def cmd_ideal(args):
     L = _load_lattice(args)
-    ideal = hibi_ideal(L, _parse_field(args.field, L.n))
+    p = _parse_field(args.field, L.n)
+    ideal = hibi_ideal(L)
     if args.export == "m2":
-        sys.stdout.write(to_macaulay2(ideal))
+        sys.stdout.write(to_macaulay2(ideal, p))
         return EXIT_OK
     if args.export == "singular":
-        sys.stdout.write(to_singular(ideal))
+        sys.stdout.write(to_singular(ideal, p))
         return EXIT_OK
     if args.export == "json":
-        print(json.dumps(to_json_dict(ideal), indent=2, sort_keys=True))
+        print(json.dumps(to_json_dict(ideal, p), indent=2, sort_keys=True))
         return EXIT_OK
     report = {"generators": [
         {"pair": [L.labels[v] for v in r.pair], "text": ideal.render(r.poly)}

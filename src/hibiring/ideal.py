@@ -4,7 +4,9 @@ Each incomparable pair (a, b) contributes the diamond relation
 x_a x_b - x_{a|b} x_{a&b}.  Under the degree-reverse-lexicographic order whose
 variable ranking follows a linear extension of the lattice (bottom ranked
 highest), these relations are a reduced Groebner basis of the ideal, and the
-leading monomial of each is its incomparable product x_a x_b.
+leading monomial of each is its incomparable product x_a x_b.  The relations
+have unit coefficients and unit leads, so Buchberger's reductions never divide
+and the certificate holds over every field; only the exporters name one.
 
 `buchberger_check` certifies that claim with Buchberger's criterion refined
 by his first criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 from . import polynomials as pa
 from .errors import NotGroebner
-from .polynomials import QQ, DivisorIndex, Polynomial, RevLex, s_polynomial
+from .polynomials import DivisorIndex, Polynomial, RevLex, s_polynomial
 
 
 class DiamondRelation(NamedTuple):
@@ -36,9 +38,8 @@ class HibiIdeal:
     """The diamond relations of a lattice, in canonical (min, max) pair order,
     together with the term order that certifies them as a Groebner basis."""
 
-    def __init__(self, lattice, field=QQ):
+    def __init__(self, lattice):
         self.lattice = lattice
-        self.field = field
         n = lattice.n
         rank = [0] * n
         for pos, v in enumerate(lattice.linear_extension()):
@@ -50,8 +51,7 @@ class HibiIdeal:
         for k, (a, b) in enumerate(lattice.incomparable_pairs()):
             mono_ab = _mono(n, a, b)
             mono_jm = _mono(n, lattice.join[a][b], lattice.meet[a][b])
-            poly = Polynomial(field, n, {mono_ab: field.one,
-                                         mono_jm: field.neg(field.one)})
+            poly = Polynomial(n, {mono_ab: 1, mono_jm: -1})
             self.relations.append(DiamondRelation((a, b), poly, k))
             self.index_of[(a, b)] = k
 
@@ -63,8 +63,7 @@ class HibiIdeal:
 
     def generator(self, a, b):
         """The relation for an incomparable pair, in either element order."""
-        key = (a, b) if (a, b) in self.index_of else (b, a)
-        return self.relations[self.index_of[key]]
+        return self.relations[self.index_of[(a, b) if a < b else (b, a)]]
 
     @property
     def polys(self):
@@ -110,8 +109,8 @@ def _mono(n, *vars_):
     return tuple(e)
 
 
-def hibi_ideal(lattice, field=QQ):
-    return HibiIdeal(lattice, field)
+def hibi_ideal(lattice):
+    return HibiIdeal(lattice)
 
 
 class CertificateReport(NamedTuple):
@@ -181,10 +180,13 @@ def reducedness_holds(ideal):
 # -- exporters -------------------------------------------------------------
 
 
-def to_macaulay2(ideal):
+# p is the characteristic of the exported ring: 0 for the rationals, else a
+# prime.
+
+
+def to_macaulay2(ideal, p=0):
     n = ideal.lattice.n
-    fld = ideal.field
-    coeff = "QQ" if fld == QQ else f"ZZ/{fld.p}"
+    coeff = f"ZZ/{p}" if p else "QQ"
     lines = [f"R = {coeff}[x_1..x_{n}];"]
     if ideal.relations:
         gens = ",\n  ".join(ideal.render(r.poly, "m2") for r in ideal.relations)
@@ -195,11 +197,9 @@ def to_macaulay2(ideal):
     return "\n".join(lines) + "\n"
 
 
-def to_singular(ideal):
+def to_singular(ideal, p=0):
     n = ideal.lattice.n
-    fld = ideal.field
-    char = "0" if fld == QQ else str(fld.p)
-    lines = [f"ring r = {char}, x(1..{n}), dp;"]
+    lines = [f"ring r = {p}, x(1..{n}), dp;"]
     if ideal.relations:
         gens = ",\n  ".join(ideal.render(r.poly, "singular") for r in ideal.relations)
         lines.append(f"ideal I =\n  {gens};")
@@ -209,10 +209,10 @@ def to_singular(ideal):
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(ideal):
+def to_json_dict(ideal, p=0):
     return {
         "lattice": ideal.lattice.to_json_dict(),
-        "field": ideal.field.name,
+        "field": f"FP({p})" if p else "QQ",
         "generators": [
             {"pair": list(r.pair), "index": r.index,
              "text": ideal.render(r.poly)}

@@ -3,8 +3,10 @@
 Monomials are exponent tuples.  The term order is degree-reverse-lexicographic
 with respect to a variable ordering supplied as a rank permutation: among
 monomials of equal total degree, the larger one has the smaller exponent at the
-highest-ranked position where they differ.  Coefficients live in an exact
-field: the rationals or a prime field.
+highest-ranked position where they differ.  Coefficients are exact
+rationals: Python ints, and Fractions only where a quotient is not whole.
+An int equals and hashes like the Fraction of the same value, so coefficient
+dicts compare alike either way.
 """
 
 from fractions import Fraction
@@ -13,98 +15,18 @@ from operator import add, le, neg, sub
 from .errors import HibiError, ZeroInput
 
 
-# -- coefficient fields ----------------------------------------------------
+# -- coefficients ----------------------------------------------------------
 
 
-def _whole(q):
-    """A rational as an int when it is whole, else as a Fraction."""
-    if type(q) is int or q.denominator != 1:
-        return q
-    return q.numerator
-
-
-class RationalField:
-    """The rationals.  Whole values are Python ints and the rest Fractions;
-    every result is normalised, so a whole value is never a Fraction.  Both
-    types are exact, and an int equals and hashes like the Fraction of the
-    same value, so coefficient dicts compare alike either way.  Over
-    unit-coefficient binomials no Fraction is ever built."""
-
-    name = "QQ"
-    zero = 0
-    one = 1
-
-    def of(self, n):
-        return n if type(n) is int else _whole(Fraction(n))
-
-    def add(self, a, b):
-        return _whole(a + b)
-
-    def sub(self, a, b):
-        return _whole(a - b)
-
-    def mul(self, a, b):
-        return _whole(a * b)
-
-    def neg(self, a):
-        return _whole(-a)
-
-    def div(self, a, b):
-        if type(a) is int and type(b) is int:
-            q, r = divmod(a, b)
-            return Fraction(a, b) if r else q
-        return _whole(a / b)
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-
-class PrimeField:
-    def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise HibiError(f"{p} is not prime")
-        self.p = p
-        self.name = f"FP({p})"
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return a * pow(b, self.p - 2, self.p) % self.p
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("FP", self.p))
-
-
-QQ = RationalField()
+def _div(a, b):
+    """a / b exactly, for ints and Fractions: an int when the quotient is
+    whole, else a Fraction.  Over unit-coefficient binomials no Fraction is
+    ever built."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 # -- monomials -------------------------------------------------------------
@@ -169,74 +91,66 @@ class RevLex:
 
 
 class Polynomial:
-    """Immutable polynomial: a monomial-to-coefficient map over a field.
+    """Immutable polynomial: a monomial-to-coefficient map.
 
     The leading monomial is remembered for the last order it was asked for;
     immutability keeps that memo valid.
     """
 
-    __slots__ = ("field", "nvars", "coeffs", "_lead")
+    __slots__ = ("nvars", "coeffs", "_lead")
 
-    def __init__(self, field, nvars, coeffs):
-        self.field = field
+    def __init__(self, nvars, coeffs):
         self.nvars = nvars
-        self.coeffs = {m: c for m, c in coeffs.items() if c != field.zero}
+        self.coeffs = {m: c for m, c in coeffs.items() if c}
         self._lead = None  # (order, leading monomial)
 
     @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars, {})
+    def zero(cls, nvars):
+        return cls(nvars, {})
 
     @classmethod
-    def term(cls, field, nvars, mono, coeff=1):
-        return cls(field, nvars, {mono: field.of(coeff)})
+    def term(cls, nvars, mono, coeff=1):
+        return cls(nvars, {mono: coeff})
 
     @classmethod
-    def variable(cls, field, nvars, v):
+    def variable(cls, nvars, v):
         m = tuple(1 if i == v else 0 for i in range(nvars))
-        return cls.term(field, nvars, m)
+        return cls.term(nvars, m)
 
     def is_zero(self):
         return not self.coeffs
 
     def __add__(self, other):
-        f = self.field
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = f.add(out.get(m, f.zero), c)
-        return Polynomial(f, self.nvars, out)
+            out[m] = out.get(m, 0) + c
+        return Polynomial(self.nvars, out)
 
     def __neg__(self):
-        f = self.field
-        return Polynomial(f, self.nvars, {m: f.neg(c) for m, c in self.coeffs.items()})
+        return Polynomial(self.nvars, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        f = self.field
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = f.sub(out.get(m, f.zero), c)
-        return Polynomial(f, self.nvars, out)
+            out[m] = out.get(m, 0) - c
+        return Polynomial(self.nvars, out)
 
     def __mul__(self, other):
-        f = self.field
         if not isinstance(other, Polynomial):
-            c = f.of(other)
-            return Polynomial(f, self.nvars,
-                              {m: f.mul(c, v) for m, v in self.coeffs.items()})
+            return Polynomial(self.nvars,
+                              {m: other * v for m, v in self.coeffs.items()})
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = mono_mul(m1, m2)
-                out[m] = f.add(out.get(m, f.zero), f.mul(c1, c2))
-        return Polynomial(f, self.nvars, out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return Polynomial(self.nvars, out)
 
     __rmul__ = __mul__
 
     def mul_term(self, mono, coeff=1):
-        f = self.field
-        c = f.of(coeff)
-        return Polynomial(f, self.nvars,
-                          {mono_mul(m, mono): f.mul(c, v) for m, v in self.coeffs.items()})
+        return Polynomial(self.nvars,
+                          {mono_mul(m, mono): coeff * v for m, v in self.coeffs.items()})
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -258,11 +172,10 @@ class Polynomial:
         return m, self.coeffs[m]
 
     def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.coeffs.items())))
+        return hash(frozenset(self.coeffs.items()))
 
     def render(self, names, order=None):
         if not self.coeffs:
@@ -278,9 +191,9 @@ class Polynomial:
                 for v, e in enumerate(m) if e)
             if vars_ == "":
                 body = str(c)
-            elif c == self.field.one:
+            elif c == 1:
                 body = vars_
-            elif c == self.field.neg(self.field.one):
+            elif c == -1:
                 body = "-" + vars_
             else:
                 body = f"{c}*{vars_}"
@@ -356,9 +269,8 @@ def divide(f, divisors, order):
     unused divisors share one zero.
     """
     index, terms, remainder = _reduce(f, divisors, order)
-    fld, nvars = f.field, f.nvars
-    unused = Polynomial.zero(fld, nvars)
-    quotients = [Polynomial(fld, nvars, terms[i]) if i in terms else unused
+    unused = Polynomial.zero(f.nvars)
+    quotients = [Polynomial(f.nvars, terms[i]) if i in terms else unused
                  for i in range(len(index.leads))]
     return quotients, remainder
 
@@ -374,14 +286,12 @@ def _reduce(f, divisors, order):
 
     The dividend is reduced in place as one coefficient dict: a step pops its
     leading term and subtracts q times the divisor's tail, since the lead
-    cancels exactly in an exact field.
+    cancels exactly in exact arithmetic.
     """
     index = (divisors if isinstance(divisors, DivisorIndex)
              else DivisorIndex(divisors, order))
     if index.order != order:
         raise HibiError("the divisor index was built for another order")
-    fld = f.field
-    zero = fld.zero
     leads = index.leads
     polys = index.divisors
     key = order.key
@@ -397,18 +307,18 @@ def _reduce(f, divisors, order):
             continue
         lm, lc = leads[best]
         q = tuple(map(sub, m, lm))
-        qc = fld.div(c, lc)
+        qc = _div(c, lc)
         # the leading monomial falls at every step, so q is new to its quotient
         terms.setdefault(best, {})[q] = qc
         for tm, tc in polys[best].coeffs.items():
             if tm != lm:
                 t = tuple(map(add, q, tm))
-                v = fld.sub(work.get(t, zero), fld.mul(qc, tc))
-                if v != zero:
+                v = work.get(t, 0) - qc * tc
+                if v:
                     work[t] = v
                 else:
                     del work[t]
-    return index, terms, Polynomial(fld, f.nvars, remainder)
+    return index, terms, Polynomial(f.nvars, remainder)
 
 
 def s_polynomial(f, g, order):
@@ -416,6 +326,5 @@ def s_polynomial(f, g, order):
     mf, cf = f.leading_term(order)
     mg, cg = g.leading_term(order)
     lcm = mono_lcm(mf, mg)
-    fld = f.field
-    return (f.mul_term(mono_div(lcm, mf), fld.div(fld.one, cf))
-            - g.mul_term(mono_div(lcm, mg), fld.div(fld.one, cg)))
+    return (f.mul_term(mono_div(lcm, mf), _div(1, cf))
+            - g.mul_term(mono_div(lcm, mg), _div(1, cg)))

@@ -18,7 +18,7 @@ a pair of diamonds falls into from its relation profile.
 from typing import NamedTuple
 
 from .errors import ConditionViolated, HibiError, InconsistentProfile, NotASyzygy
-from .polynomials import QQ, divide, mono_div, mono_lcm, mono_mul, s_polynomial
+from .polynomials import divide, mono_div, mono_lcm, mono_mul, s_polynomial
 
 
 def apply_phi(row, ideal):
@@ -150,11 +150,9 @@ def schreyer_pair(i, j, ideal):
 
     (lcm/in f_i) e_i - (lcm/in f_j) e_j - sum q_k e_k, where the q_k are the
     division quotients of the S-polynomial against the full generator list.
-    Over the rationals every relation leads with coefficient 1, so each
-    quotient coefficient is a whole number; one that is not raises HibiError.
+    Every relation leads with coefficient 1, so each quotient coefficient is
+    a whole number; one that is not raises HibiError.
     """
-    if ideal.field != QQ:
-        raise HibiError("Schreyer pairs are read off over the rationals")
     polys, order = ideal.polys, ideal.order
     mi = polys[i].leading_monomial(order)
     mj = polys[j].leading_monomial(order)
@@ -371,7 +369,7 @@ def typed_generator(ideal, kind, witness):
         j = lambda x, y: L.join[x][y]
         m = lambda x, y: L.meet[x][y]
         for x, y, v, sign in _TERMS[kind](*witness, j, m):
-            i = index_of.get((x, y), index_of.get((y, x)))
+            i = index_of.get((x, y) if x < y else (y, x))
             if i is None:
                 # the auxiliary pair collapsed to a comparable one; its
                 # relation is the zero polynomial, so the term contributes

@@ -15,7 +15,7 @@ from hibiring import (
     syzygy,
 )
 from hibiring.cli import main
-from hibiring.polynomials import QQ, Polynomial
+from hibiring.polynomials import Polynomial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -113,6 +113,18 @@ def test_ideal_prime_too_small(capsys):
     code, _, err = run(capsys, "ideal", "--grid", "1", "2", "--field", "fp:5")
     assert code == 1
     assert "must exceed" in err
+
+
+@pytest.mark.parametrize("field, message", [
+    ("fp:9", "is not prime"),
+    ("fp:1", "is not prime"),
+    ("gf:7", "unknown field"),
+    ("fp:x", ""),
+])
+def test_ideal_field_rejected(capsys, field, message):
+    code, out, err = run(capsys, "ideal", "--grid", "2", "3", "--field", field)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_syzygy_histogram(capsys):
@@ -334,7 +346,7 @@ def test_syzygy_verify_makes_no_polynomial_product(capsys, monkeypatch):
     assert code == 0
     assert "all 161 typed generators verified as syzygies" in out
     assert calls == []
-    x = Polynomial.variable(QQ, 1, 0)
+    x = Polynomial.variable(1, 0)
     x * x  # the counter is live
     assert len(calls) == 1
 

@@ -28,6 +28,14 @@ GOLDEN = [
      "6426ef9a9ceeb0a0ee326f080a38d3f51bbf22f8cf7693fcf07c9f06edcc18da"),
     ("ideal --grid 2 3 --export m2", 0,
      "e87b19ca1594a8fa295b1685a34fa204e2f91ccc4e5d374d0d5222aa62b8464b"),
+    ("ideal --grid 2 3 --field fp:101", 0,
+     "3bc989fb382aaa3d45cea6c1d4e4c00881dcc4c96285a1c25056c58a936745b6"),
+    ("ideal --grid 2 3 --field fp:101 --export json", 0,
+     "fc70b2c675376883c618b16e4e7cd0348181e95ffe2df323a1dc854e51e39169"),
+    ("ideal --grid 2 3 --field fp:101 --export m2", 0,
+     "42328134f536d55653e52b98037abab8c03c74bc7bd67bdee37111fda77d5b32"),
+    ("ideal --grid 2 3 --field fp:32003 --export singular", 0,
+     "b3332b02af179f72b7b16141394b873ffd63be5f666f07d96b1279dc65cb70fc"),
     ("lattice --grid 2 3 --format json", 0,
      "949b69e0f9a945e5c48a73fce92304da7fd2f911d9f28a355937d827cb6bca1f"),
 ]

@@ -8,11 +8,10 @@ from hibiring import grid, polynomials
 from hibiring.errors import HibiError, ZeroInput
 from hibiring.ideal import buchberger_check, hibi_ideal
 from hibiring.polynomials import (
-    QQ,
     DivisorIndex,
     Polynomial,
-    PrimeField,
     RevLex,
+    _div,
     divide,
     mono_div,
     mono_lcm,
@@ -26,7 +25,7 @@ ORDER = RevLex(NV)
 
 
 def P(coeffs):
-    return Polynomial(QQ, NV, {m: Fraction(c) for m, c in coeffs.items()})
+    return Polynomial(NV, {m: Fraction(c) for m, c in coeffs.items()})
 
 
 def monos(max_deg=3):
@@ -37,21 +36,7 @@ def polys():
     return st.dictionaries(monos(), st.integers(-5, 5), max_size=5).map(P)
 
 
-# -- fields ----------------------------------------------------------------
-
-def test_prime_field():
-    f = PrimeField(7)
-    assert f.of(10) == 3
-    assert f.div(1, 3) == 5  # 3*5 = 15 = 1 mod 7
-    assert f.neg(2) == 5
-    with pytest.raises(ZeroDivisionError):
-        f.div(1, 7)
-
-
-def test_prime_field_rejects_composite():
-    with pytest.raises(HibiError):
-        PrimeField(6)
-
+# -- coefficients ----------------------------------------------------------
 
 def rationals():
     return st.one_of(st.integers(-50, 50),
@@ -59,34 +44,24 @@ def rationals():
                                   max_denominator=12))
 
 
-def _normalised(x):
-    """Whole values are ints and the rest Fractions."""
-    return type(x) is (int if Fraction(x).denominator == 1 else Fraction)
-
-
 @given(rationals(), rationals())
 @settings(max_examples=200, deadline=None)
 def test_rational_field_is_exact(a, b):
-    """QQ agrees with plain Fraction arithmetic on ints and Fractions, and
-    returns whole values as ints."""
-    fa, fb = Fraction(a), Fraction(b)
-    results = [(QQ.of(a), fa), (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
-               (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa)]
-    if b:
-        results.append((QQ.div(a, b), fa / fb))
-    else:
+    """_div agrees with Fraction division on ints and Fractions, and returns
+    a whole quotient as an int."""
+    if not b:
         with pytest.raises(ZeroDivisionError):
-            QQ.div(a, b)
-    for got, expected in results:
-        assert got == expected
-        assert _normalised(got)
+            _div(a, b)
+        return
+    q = _div(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) is (int if q.denominator == 1 else Fraction)
 
 
 def test_whole_fraction_coefficient_is_the_int():
     m = (1, 0, 0, 0)
-    f, g = Polynomial(QQ, NV, {m: Fraction(2)}), Polynomial(QQ, NV, {m: 2})
+    f, g = Polynomial(NV, {m: Fraction(2)}), Polynomial(NV, {m: 2})
     assert f == g and hash(f) == hash(g)
-    assert type(QQ.zero) is int and type(QQ.one) is int
 
 
 # -- order -----------------------------------------------------------------
@@ -135,8 +110,8 @@ def test_revlex_total_and_multiplicative(a, b, c):
 # -- arithmetic ------------------------------------------------------------
 
 def test_poly_basics():
-    x1 = Polynomial.variable(QQ, NV, 0)
-    x2 = Polynomial.variable(QQ, NV, 1)
+    x1 = Polynomial.variable(NV, 0)
+    x2 = Polynomial.variable(NV, 1)
     f = (x1 + x2) * (x1 - x2)
     assert f == x1 * x1 - x2 * x2
     assert f.degree() == 2
@@ -150,13 +125,13 @@ def test_leading_term():
     m, c = f.leading_term(ORDER)
     assert m == (0, 1, 1, 0) and c == 2
     with pytest.raises(ZeroInput):
-        Polynomial.zero(QQ, NV).leading_monomial(ORDER)
+        Polynomial.zero(NV).leading_monomial(ORDER)
 
 
 def test_render():
     f = P({(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
     assert f.render(["a", "b", "c", "d"], ORDER) == "a*b-c*d"
-    assert Polynomial.zero(QQ, NV).render(["a", "b", "c", "d"]) == "0"
+    assert Polynomial.zero(NV).render(["a", "b", "c", "d"]) == "0"
 
 
 @given(polys(), polys(), polys())
@@ -176,14 +151,14 @@ def test_divide_identity():
     gs = [P({(1, 0, 0, 0): 1}), P({(0, 1, 0, 0): 1})]
     qs, r = divide(f, gs, ORDER)
     assert r.is_zero()
-    assert sum((q * g for q, g in zip(qs, gs)), Polynomial.zero(QQ, NV)) == f
+    assert sum((q * g for q, g in zip(qs, gs)), Polynomial.zero(NV)) == f
 
 
 def test_divide_remainder_irreducible():
     f = P({(1, 1, 0, 0): 1, (0, 0, 0, 1): 1})
     g = P({(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})  # lead x1
     qs, r = divide(f, [g], ORDER)
-    assert sum((q * h for q, h in zip(qs, [g])), Polynomial.zero(QQ, NV)) + r == f
+    assert sum((q * h for q, h in zip(qs, [g])), Polynomial.zero(NV)) + r == f
     lm = g.leading_monomial(ORDER)
     assert all(mono_div(m, lm) is None for m in r.coeffs)
 
@@ -193,7 +168,7 @@ def test_divide_remainder_irreducible():
 @settings(max_examples=60, deadline=None)
 def test_divide_exactness(f, gs):
     qs, r = divide(f, gs, ORDER)
-    total = sum((q * g for q, g in zip(qs, gs)), Polynomial.zero(QQ, NV)) + r
+    total = sum((q * g for q, g in zip(qs, gs)), Polynomial.zero(NV)) + r
     assert total == f
     leads = [g.leading_monomial(ORDER) for g in gs]
     for m in r.coeffs:
@@ -209,11 +184,10 @@ def test_divide_first_divisor_wins():
 
 
 def _divide_by_scan(f, divisors, order):
-    """Reference division over f's field: scan the whole divisor list at
-    every step and subtract whole polynomials."""
-    fld = f.field
-    quotients = [Polynomial.zero(fld, NV) for _ in divisors]
-    remainder = Polynomial.zero(fld, NV)
+    """Reference division in Fraction arithmetic: scan the whole divisor list
+    at every step and subtract whole polynomials."""
+    quotients = [Polynomial.zero(NV) for _ in divisors]
+    remainder = Polynomial.zero(NV)
     work = f
     while not work.is_zero():
         m, c = work.leading_term(order)
@@ -221,37 +195,20 @@ def _divide_by_scan(f, divisors, order):
             lm, lc = g.leading_term(order)
             q = mono_div(m, lm)
             if q is not None:
-                t = Polynomial.term(fld, NV, q, fld.div(c, lc))
+                t = Polynomial.term(NV, q, Fraction(c) / lc)
                 quotients[i] = quotients[i] + t
                 work = work - t * g
                 break
         else:
-            remainder = remainder + Polynomial.term(fld, NV, m, c)
-            work = work - Polynomial.term(fld, NV, m, c)
+            remainder = remainder + Polynomial.term(NV, m, c)
+            work = work - Polynomial.term(NV, m, c)
     return quotients, remainder
-
-
-F7 = PrimeField(7)
-
-
-def polys_mod_7():
-    return st.dictionaries(monos(), st.integers(0, 6), max_size=5).map(
-        lambda coeffs: Polynomial(F7, NV, coeffs))
 
 
 @given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
                          min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_divide_matches_full_scan(f, gs):
-    assert divide(f, gs, ORDER) == _divide_by_scan(f, gs, ORDER)
-
-
-@given(polys_mod_7(), st.lists(polys_mod_7().filter(lambda p: not p.is_zero()),
-                               min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_divide_matches_full_scan_mod_7(f, gs):
-    """The in-place division drops each step's lead without computing it,
-    which holds because c - (c / lc) * lc is exactly 0 mod 7 as well."""
     assert divide(f, gs, ORDER) == _divide_by_scan(f, gs, ORDER)
 
 
@@ -315,7 +272,7 @@ def test_certificate_builds_no_fraction(monkeypatch):
             built.append(args)
             return super().__new__(cls, *args, **kwargs)
     monkeypatch.setattr(polynomials, "Fraction", Counted)
-    assert QQ.div(1, 2) == Fraction(1, 2) and len(built) == 1
+    assert _div(1, 2) == Fraction(1, 2) and len(built) == 1
     built.clear()
     report = buchberger_check(hibi_ideal(grid(4, 4)))
     assert report.pairs_checked == 900
