@@ -18,7 +18,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import lattice as lat
 from .betti import (
-    grid_betti,
     k_of,
     n_diamond_planar,
     planar_betti,
@@ -195,14 +194,8 @@ def cmd_betti(args):
     report = {"mode": args.mode}
     lines = []
     if args.mode in ("formula", "both"):
-        if args.grid is not None:
-            b = grid_betti(*args.grid)
-            breakdown = {"strip": b.strip, "L": b.l, "box": b.box,
-                         "diamond": 0}
-        else:
-            f = planar_formula(L)
-            breakdown = {"strip": f.nS, "L": f.nL, "box": f.nB,
-                         "diamond": f.nD}
+        f = planar_formula(L)
+        breakdown = {"strip": f.nS, "L": f.nL, "box": f.nB, "diamond": f.nD}
         formula_total = sum(breakdown.values())
         report["formula"] = {"breakdown": breakdown, "total": formula_total}
         lines.append("formula: "
@@ -314,8 +307,9 @@ def build_parser():
 
     def common(p, lattice_input=True):
         if lattice_input:
-            p.add_argument("--grid", nargs=2, type=int, metavar=("M", "N"))
-            p.add_argument("--file", metavar="PATH")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--grid", nargs=2, type=int, metavar=("M", "N"))
+            source.add_argument("--file", metavar="PATH")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
 

@@ -18,7 +18,6 @@ reduced; a zero remainder is a standard representation, and the coprime pairs
 need no computation.
 """
 
-from functools import cached_property
 from typing import NamedTuple
 
 from . import polynomials as pa
@@ -48,10 +47,10 @@ class HibiIdeal:
         self.relations = []
         self.index_of = {}
         self._term_codes = {}
+        meet, join = lattice.meet, lattice.join
         for k, (a, b) in enumerate(lattice.incomparable_pairs()):
-            mono_ab = _mono(n, a, b)
-            mono_jm = _mono(n, lattice.join[a][b], lattice.meet[a][b])
-            poly = Polynomial(n, {mono_ab: 1, mono_jm: -1})
+            jm = tuple(sorted((meet[a][b], join[a][b])))
+            poly = Polynomial({(a, b): 1, jm: -1})
             self.relations.append(DiamondRelation((a, b), poly, k))
             self.index_of[(a, b)] = k
 
@@ -69,24 +68,17 @@ class HibiIdeal:
     def polys(self):
         return [r.poly for r in self.relations]
 
-    @cached_property
-    def terms(self):
-        """Each relation as its two signed terms, x_a x_b and
-        -x_{a|b} x_{a&b}, each monomial a sorted tuple of variables."""
-        L = self.lattice
-        return [(((a, b), 1), (tuple(sorted((L.meet[a][b], L.join[a][b]))), -1))
-                for a, b in (r.pair for r in self.relations)]
-
     def term_codes(self, base):
         """(units, codes) for monomials written as one int, a base-`base`
         digit per variable: units[v] = base**v is x_v, and codes[i] holds the
-        codes of the two terms of relation i, x_a x_b and x_{a|b} x_{a&b}.
-        Built once per base."""
+        terms of relation i as (code, coefficient) pairs.  Built once per
+        base."""
         cached = self._term_codes.get(base)
         if cached is None:
             units = [base ** v for v in range(self.lattice.n)]
-            codes = [tuple(sum(map(units.__getitem__, mono)) for mono, _ in t)
-                     for t in self.terms]
+            codes = [tuple((sum(map(units.__getitem__, mono)), c)
+                           for mono, c in r.poly.coeffs.items())
+                     for r in self.relations]
             cached = self._term_codes[base] = (units, codes)
         return cached
 
@@ -100,13 +92,6 @@ class HibiIdeal:
 
     def render(self, poly, style="plain"):
         return poly.render(self.variable_names(style), self.order)
-
-
-def _mono(n, *vars_):
-    e = [0] * n
-    for v in vars_:
-        e[v] += 1
-    return tuple(e)
 
 
 def hibi_ideal(lattice):
@@ -140,8 +125,7 @@ def buchberger_check(ideal):
     polys = ideal.polys
     order = ideal.order
     index = DivisorIndex(polys, order)
-    supports = [sum(1 << v for v, e in enumerate(lm) if e)
-                for lm, _ in index.leads]
+    supports = [sum(1 << v for v in set(lm)) for lm, _ in index.leads]
     checked = skipped = 0
     max_terms = 0
     for i in range(len(polys)):

@@ -10,6 +10,7 @@ from itertools import permutations, product
 from .errors import (
     CapExceeded,
     EmptyInput,
+    HibiError,
     NotALattice,
     NotComparable,
     NotDistributive,
@@ -236,7 +237,12 @@ def from_covers(names, covers):
 
 
 def from_json_dict(d):
-    return from_covers(d["elements"], [tuple(c) for c in d["covers"]])
+    names = d["elements"]
+    for k, name in enumerate(names):
+        if not isinstance(name, str):
+            raise HibiError(f"element {k} has name {name!r}; element names "
+                            "must be strings")
+    return from_covers(names, [tuple(c) for c in d["covers"]])
 
 
 def grid(m, n):

@@ -1,16 +1,19 @@
 """Exact multivariate polynomial arithmetic.
 
-Monomials are exponent tuples.  The term order is degree-reverse-lexicographic
-with respect to a variable ordering supplied as a rank permutation: among
-monomials of equal total degree, the larger one has the smaller exponent at the
-highest-ranked position where they differ.  Coefficients are exact
-rationals: Python ints, and Fractions only where a quotient is not whole.
-An int equals and hashes like the Fraction of the same value, so coefficient
-dicts compare alike either way.
+A monomial is a sorted tuple of variables, a variable repeated once per power
+of it: x1^2*x3 is (0, 0, 2) and the constant monomial is ().  That is how
+syzygy rows, fibers and phi write monomials too, so no module converts.  The
+term order is degree-reverse-lexicographic with respect to a variable
+ordering supplied as a rank permutation: among monomials of equal total
+degree, the larger one has the smaller exponent at the highest-ranked
+variable where they differ.  Coefficients are exact rationals: Python ints,
+and Fractions only where a quotient is not whole.  An int equals and hashes
+like the Fraction of the same value, so coefficient dicts compare alike
+either way.
 """
 
 from fractions import Fraction
-from operator import add, le, neg, sub
+from itertools import groupby
 
 from .errors import HibiError, ZeroInput
 
@@ -33,20 +36,28 @@ def _div(a, b):
 
 
 def mono_mul(a, b):
-    return tuple(map(add, a, b))
+    return tuple(sorted(a + b))
 
 
 def mono_div(a, b):
-    """a / b as a monomial, or None when b does not divide a."""
-    return tuple(map(sub, a, b)) if all(map(le, b, a)) else None
+    """a / b as a monomial, or None when b does not divide a: the variables
+    of a less those of b, as multisets."""
+    rest = list(a)
+    try:
+        for v in b:
+            rest.remove(v)
+    except ValueError:
+        return None
+    return tuple(rest)
 
 
 def mono_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def mono_deg(a):
-    return sum(a)
+    """The multiset union: each variable to the larger of its two powers."""
+    rest = list(b)
+    for v in a:
+        if v in rest:
+            rest.remove(v)
+    return mono_mul(a, tuple(rest))
 
 
 class RevLex:
@@ -59,20 +70,20 @@ class RevLex:
     """
 
     def __init__(self, nvars, rank=None):
-        self.nvars = nvars
         if rank is None:
             rank = list(range(nvars))
         if sorted(rank) != list(range(nvars)):
             raise HibiError("rank must be a permutation of the variables")
         self.rank = tuple(rank)
-        inverse = [0] * nvars
-        for v, r in enumerate(rank):
-            inverse[r] = v
-        self._last_first = tuple(reversed(inverse))  # last rank's variable first
+        self._neg_rank = tuple(-r for r in rank)
 
     def key(self, m):
-        """Sort key: bigger key = bigger monomial."""
-        return (sum(m), tuple(map(neg, map(m.__getitem__, self._last_first))))
+        """Sort key: bigger key = bigger monomial.  After the degree come the
+        negated ranks of m's variables in ascending order: equal degrees
+        compare on the highest-ranked variables first, and the monomial with
+        the smaller power of the first variable where they differ is the
+        bigger."""
+        return (len(m), tuple(sorted(map(self._neg_rank.__getitem__, m))))
 
     def greater(self, a, b):
         return self.key(a) > self.key(b)
@@ -97,25 +108,23 @@ class Polynomial:
     immutability keeps that memo valid.
     """
 
-    __slots__ = ("nvars", "coeffs", "_lead")
+    __slots__ = ("coeffs", "_lead")
 
-    def __init__(self, nvars, coeffs):
-        self.nvars = nvars
+    def __init__(self, coeffs):
         self.coeffs = {m: c for m, c in coeffs.items() if c}
         self._lead = None  # (order, leading monomial)
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def term(cls, nvars, mono, coeff=1):
-        return cls(nvars, {mono: coeff})
+    def term(cls, mono, coeff=1):
+        return cls({mono: coeff})
 
     @classmethod
-    def variable(cls, nvars, v):
-        m = tuple(1 if i == v else 0 for i in range(nvars))
-        return cls.term(nvars, m)
+    def variable(cls, v):
+        return cls.term((v,))
 
     def is_zero(self):
         return not self.coeffs
@@ -124,40 +133,39 @@ class Polynomial:
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) + c
-        return Polynomial(self.nvars, out)
+        return Polynomial(out)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.coeffs.items()})
+        return Polynomial({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) - c
-        return Polynomial(self.nvars, out)
+        return Polynomial(out)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return Polynomial(self.nvars,
-                              {m: other * v for m, v in self.coeffs.items()})
+            return Polynomial({m: other * v for m, v in self.coeffs.items()})
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = mono_mul(m1, m2)
                 out[m] = out.get(m, 0) + c1 * c2
-        return Polynomial(self.nvars, out)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
     def mul_term(self, mono, coeff=1):
-        return Polynomial(self.nvars,
-                          {mono_mul(m, mono): coeff * v for m, v in self.coeffs.items()})
+        return Polynomial({mono_mul(m, mono): coeff * v
+                           for m, v in self.coeffs.items()})
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((mono_deg(m) for m in self.coeffs), default=-1)
+        return max(map(len, self.coeffs), default=-1)
 
     def is_homogeneous(self):
-        return len({mono_deg(m) for m in self.coeffs}) <= 1
+        return len(set(map(len, self.coeffs))) <= 1
 
     def leading_monomial(self, order):
         if self._lead is not None and self._lead[0] == order:
@@ -186,9 +194,9 @@ class Polynomial:
         parts = []
         for m in monos:
             c = self.coeffs[m]
-            vars_ = "*".join(
-                names[v] if e == 1 else f"{names[v]}^{e}"
-                for v, e in enumerate(m) if e)
+            powers = ((v, len(list(run))) for v, run in groupby(m))
+            vars_ = "*".join(names[v] if e == 1 else f"{names[v]}^{e}"
+                             for v, e in powers)
             if vars_ == "":
                 body = str(c)
             elif c == 1:
@@ -204,7 +212,8 @@ class Polynomial:
         return "".join(parts)
 
     def __repr__(self):
-        names = [f"x{v + 1}" for v in range(self.nvars)]
+        top = max((m[-1] for m in self.coeffs if m), default=-1)
+        names = [f"x{v + 1}" for v in range(top + 1)]
         return f"Polynomial({self.render(names)})"
 
 
@@ -213,11 +222,10 @@ class DivisorIndex:
     division.
 
     Divisors with a constant lead divide every monomial; the others are
-    bucketed under one variable of their lead (the first of largest
-    exponent), so a division step tests only the buckets of the variables of
-    the current monomial.  Each bucket is in list order.  The leads are read
-    from the polynomials once, when the index is built; polynomials are
-    immutable, so the index stays valid.
+    bucketed under the first variable of their lead, so a division step tests
+    only the buckets of the variables of the current monomial.  Each bucket is
+    in list order.  The leads are read from the polynomials once, when the
+    index is built; polynomials are immutable, so the index stays valid.
     """
 
     __slots__ = ("divisors", "order", "leads", "constant", "by_var")
@@ -229,8 +237,8 @@ class DivisorIndex:
         self.constant = []
         self.by_var = {}
         for i, (lm, _) in enumerate(self.leads):
-            if any(lm):
-                self.by_var.setdefault(lm.index(max(lm)), []).append(i)
+            if lm:
+                self.by_var.setdefault(lm[0], []).append(i)
             else:
                 self.constant.append(i)
 
@@ -240,14 +248,13 @@ class DivisorIndex:
         leads = self.leads
         best = self.constant[0] if self.constant else len(leads)
         by_var = self.by_var
-        for v, e in enumerate(m):
-            if e:
-                for i in by_var.get(v, ()):
-                    if i >= best:
-                        break
-                    if all(map(le, leads[i][0], m)):
-                        best = i
-                        break
+        for v in set(m):
+            for i in by_var.get(v, ()):
+                if i >= best:
+                    break
+                if mono_div(m, leads[i][0]) is not None:
+                    best = i
+                    break
         return best
 
 
@@ -269,8 +276,8 @@ def divide(f, divisors, order):
     unused divisors share one zero.
     """
     index, terms, remainder = _reduce(f, divisors, order)
-    unused = Polynomial.zero(f.nvars)
-    quotients = [Polynomial(f.nvars, terms[i]) if i in terms else unused
+    unused = Polynomial.zero()
+    quotients = [Polynomial(terms[i]) if i in terms else unused
                  for i in range(len(index.leads))]
     return quotients, remainder
 
@@ -306,19 +313,19 @@ def _reduce(f, divisors, order):
             remainder[m] = c
             continue
         lm, lc = leads[best]
-        q = tuple(map(sub, m, lm))
+        q = mono_div(m, lm)
         qc = _div(c, lc)
         # the leading monomial falls at every step, so q is new to its quotient
         terms.setdefault(best, {})[q] = qc
         for tm, tc in polys[best].coeffs.items():
             if tm != lm:
-                t = tuple(map(add, q, tm))
+                t = mono_mul(q, tm)
                 v = work.get(t, 0) - qc * tc
                 if v:
                     work[t] = v
                 else:
                     del work[t]
-    return index, terms, Polynomial(f.nvars, remainder)
+    return index, terms, Polynomial(remainder)
 
 
 def s_polynomial(f, g, order):

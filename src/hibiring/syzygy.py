@@ -41,11 +41,9 @@ def apply_phi(row, ideal):
         shift = 0
         for v in mu:
             shift += units[v]
-        lead, tail = codes[i]
-        lead += shift
-        tail += shift
-        image[lead] = get(lead, 0) + c
-        image[tail] = get(tail, 0) - c
+        for code, sign in codes[i]:
+            code += shift
+            image[code] = get(code, 0) + sign * c
     return {_decode(code, base): c for code, c in image.items() if c}
 
 
@@ -63,42 +61,27 @@ def _decode(code, base):
 # -- module orders and division on rows -----------------------------------------
 
 
-def _variables(mono):
-    return tuple(v for v, e in enumerate(mono) for _ in range(e))
-
-
 def position_key(ideal):
     """Position-over-term sort key of a column (mu, i): later basis vectors
     first, ties broken by the ring order on mu.  Under it both strip
     generators of a shared diamond lead on their common third component."""
-    order, n = ideal.order, ideal.lattice.n
-    return lambda col: (col[1], order.key(tuple(map(col[0].count, range(n)))))
+    key = ideal.order.key
+    return lambda col: (col[1], key(col[0]))
 
 
 def schreyer_key(ideal):
     """Schreyer sort key of a column (mu, i): mu * in(f_i) in the ring order,
     ties broken by preferring the smaller generator index."""
-    order, n = ideal.order, ideal.lattice.n
+    order = ideal.order
     leads = [r.poly.leading_monomial(order) for r in ideal.relations]
-    return lambda col: (order.key(mono_mul(tuple(map(col[0].count, range(n))),
-                                           leads[col[1]])), -col[1])
-
-
-def _without(mu, nu):
-    """The variables of mu, a sorted tuple, less those of nu, each removed as
-    often as nu holds it and mu allows; mu / nu when nu divides mu."""
-    rest = list(mu)
-    for v in nu:
-        if v in rest:
-            rest.remove(v)
-    return tuple(rest)
+    return lambda col: (order.key(mono_mul(col[0], leads[col[1]])), -col[1])
 
 
 def _add_shifted(row, other, nu, c):
     """row + c * nu * other, zeros dropped."""
     out = dict(row)
     for (mu, i), v in other.items():
-        k = (tuple(sorted(mu + nu)), i)
+        k = (mono_mul(mu, nu), i)
         out[k] = out.get(k, 0) + c * v
     return {k: v for k, v in out.items() if v}
 
@@ -112,8 +95,9 @@ def s_vector(u, v, key):
         raise HibiError("leading terms lie on different basis vectors")
     if {abs(cu), abs(cv)} != {1}:
         raise HibiError("leading coefficients must be 1 or -1")
-    return _add_shifted(_add_shifted({}, u, _without(nu, mu), cu),
-                        v, _without(mu, nu), -cv)
+    lcm = mono_lcm(mu, nu)
+    return _add_shifted(_add_shifted({}, u, mono_div(lcm, mu), cu),
+                        v, mono_div(lcm, nu), -cv)
 
 
 def divide_row(row, divisors, key):
@@ -129,8 +113,8 @@ def divide_row(row, divisors, key):
     while work:
         mu, i = col = max(work, key=key)
         for k, ((lm, li), d) in enumerate(leads):
-            nu = _without(mu, lm)
-            if li == i and len(nu) == len(mu) - len(lm):
+            nu = mono_div(mu, lm) if li == i else None
+            if nu is not None:
                 q, r = divmod(work[col], d[lm, li])
                 if r:
                     raise HibiError(f"{d[lm, li]} does not divide {work[col]}")
@@ -160,15 +144,14 @@ def schreyer_pair(i, j, ideal):
     quotients, r = divide(s_polynomial(polys[i], polys[j], order), polys, order)
     if not r.is_zero():
         raise HibiError("S-polynomial did not reduce to zero")
-    row = {(_variables(mono_div(lcm, mi)), i): 1,
-           (_variables(mono_div(lcm, mj)), j): -1}
+    row = {(mono_div(lcm, mi), i): 1, (mono_div(lcm, mj), j): -1}
     for k, q in enumerate(quotients):
         for m, c in q.coeffs.items():
             whole = int(c)
             if whole != c:
                 raise HibiError(f"quotient coefficient {c} of S({i}, {j}) "
                                 "is not a whole number")
-            col = (_variables(m), k)
+            col = (m, k)
             row[col] = row.get(col, 0) - whole
     return {col: c for col, c in row.items() if c}
 
@@ -359,10 +342,10 @@ def typed_generator(ideal, kind, witness):
     _check_conditions(L, kind, witness)
     if kind == "D":
         a1, b1, a2, b2 = witness
-        i1 = ideal.generator(a1, b1).index
-        i2 = ideal.generator(a2, b2).index
-        row = {(mu, i1): c for mu, c in ideal.terms[i2]}
-        row.update({(mu, i2): -c for mu, c in ideal.terms[i1]})
+        f1 = ideal.generator(a1, b1)
+        f2 = ideal.generator(a2, b2)
+        row = {(mu, f1.index): c for mu, c in f2.poly.coeffs.items()}
+        row.update({(mu, f2.index): -c for mu, c in f1.poly.coeffs.items()})
     else:
         index_of = ideal.index_of
         row = {}

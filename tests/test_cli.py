@@ -79,6 +79,31 @@ def test_lattice_malformed_json(capsys, lattice_file):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice"], ["lattice", "--format", "json"],
+    ["syzygy", "--format", "json"], ["ideal"]])
+def test_file_rejects_non_string_names(capsys, lattice_file, argv):
+    """A name that is not a string is an input error naming the entry, not
+    a traceback from the first report that joins the labels."""
+    path = lattice_file({"elements": [1, 2, 3, 4],
+                         "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]})
+    code, out, err = run(capsys, *argv, "--file", path)
+    assert (code, out) == (1, "")
+    assert err == "error: element 0 has name 1; element names must be strings\n"
+
+
+def test_grid_and_file_are_exclusive(capsys, lattice_file):
+    """Both inputs at once is a usage error, not a run on the grid with the
+    file ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--grid", "2", "3", "--file", lattice_file(CHAIN)])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "usage:" in out.err
+    assert "argument --file: not allowed with argument --grid" in out.err
+
+
 def test_ideal_listing(capsys):
     code, out, _ = run(capsys, "ideal", "--grid", "1", "2")
     assert code == 0
@@ -346,7 +371,7 @@ def test_syzygy_verify_makes_no_polynomial_product(capsys, monkeypatch):
     assert code == 0
     assert "all 161 typed generators verified as syzygies" in out
     assert calls == []
-    x = Polynomial.variable(1, 0)
+    x = Polynomial.variable(0)
     x * x  # the counter is live
     assert len(calls) == 1
 
