@@ -12,7 +12,6 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import NotPlanar, OracleMismatch
-from .ideal import hibi_ideal
 from .oracle import (
     GradedBetti,
     RowSpan,
@@ -118,9 +117,11 @@ def n_diamond_planar(L):
     The count is the rank they add beyond the shifted degree-3 kernel: a
     planar diamond is fixed by its meet and join, so for comparable pairs the
     fiber of x_a1 x_b1 x_a2 x_b2 (standard monomial x_m1 x_j1 x_m2 x_j2, Hibi
-    1987) holds no other candidate, and the shift span is multigraded.  Only a
-    criterion that keeps a trivial element breaks this, and planar_betti's
-    degree-4 oracle check then reports it.
+    1987) holds no other candidate, and the shift span is multigraded.  What
+    breaks the count is the criterion: diamond_reducible calls 13 pairs
+    reducible whose fiber still has H~_1 = 1, so the count falls short of the
+    oracle's degree-4 row on 10 planar lattices of at most 12 elements.
+    planar_betti's degree-4 oracle check reports each of them.
     """
     if not L.is_planar():
         raise NotPlanar("formula counting needs a planar lattice")
@@ -171,17 +172,18 @@ def planar_formula(L):
     return PlanarBettiBreakdown(nS, nL, nB, nD, None)
 
 
-def planar_betti(L):
-    """First Betti number breakdown of a planar lattice by generator type:
-    planar_formula, checked against one run of the exact oracle (degrees 3
-    and 4), whose rows the breakdown carries as oracle.
+def planar_betti(ideal):
+    """First Betti number breakdown by generator type of the Hibi ideal of a
+    planar lattice: planar_formula of ideal.lattice, checked against one run
+    of the exact oracle on ideal (degrees 3 and 4), whose rows the breakdown
+    carries as oracle.
 
     A disagreement of the diamond count with degree 4, then of the total,
     raises OracleMismatch with the numbers rather than being reconciled
     silently.
     """
-    formula = planar_formula(L)
-    oracle = graded_betti_oracle(hibi_ideal(L))
+    formula = planar_formula(ideal.lattice)
+    oracle = graded_betti_oracle(ideal)
     oracle_deg4 = oracle[-1].minimal_generators
     if formula.nD != oracle_deg4:
         raise OracleMismatch(
@@ -286,7 +288,7 @@ def planar_linearity(L):
     The converse, nD = 0 implies linear, is checked rather than proven: it
     holds on all 299 planar lattices of 2-12 elements and on all 1295
     of 13-15 elements.  If the count and the oracle ever part, planar_betti
-    raises OracleMismatch and the census linearity check fails its row.
+    raises OracleMismatch and the census fails that lattice's row.
     """
     nD = n_diamond_planar(L)
     noun = "pair" if nD == 1 else "pairs"

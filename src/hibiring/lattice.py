@@ -20,12 +20,12 @@ from .errors import (
 class Lattice:
     """A finite distributive lattice.
 
-    Fields: n (element count), labels, leq (n x n boolean order relation),
-    join/meet (n x n element tables), covers (list of (lower, upper)),
-    height (rank of each element, bottom at 0).
+    Fields: n (element count), labels, join/meet (n x n element tables),
+    covers (list of (lower, upper)), height (rank of each element, bottom
+    at 0).
     """
 
-    __slots__ = ("n", "labels", "leq", "join", "meet", "covers", "height",
+    __slots__ = ("n", "labels", "join", "meet", "covers", "height",
                  "parent_map", "_up", "_down", "_diamonds",
                  "_comparable_pairs", "_jm_set")
 
@@ -49,7 +49,6 @@ class Lattice:
         up = self._up
         down = tuple(frozenset(a for a in range(n) if b in up[a]) for b in range(n))
         self._down = down
-        self.leq = tuple(tuple(b in up[a] for b in range(n)) for a in range(n))
 
         for a in range(n):
             for b in up[a]:
@@ -185,7 +184,7 @@ class Lattice:
         return sub
 
     def linear_extension(self):
-        """Element ids sorted by (height, id); a total order refining leq."""
+        """Element ids sorted by (height, id), a total order extending <=."""
         return sorted(range(self.n), key=lambda a: (self.height[a], a))
 
     def is_planar(self):
@@ -237,12 +236,17 @@ def from_covers(names, covers):
 
 
 def from_json_dict(d):
-    names = d["elements"]
+    names, covers = d["elements"], d["covers"]
+    if not isinstance(names, list):
+        raise HibiError("'elements' must be a list of names")
+    if not (isinstance(covers, list)
+            and all(isinstance(c, list) and len(c) == 2 for c in covers)):
+        raise HibiError("'covers' must be a list of [lower, upper] index pairs")
     for k, name in enumerate(names):
         if not isinstance(name, str):
             raise HibiError(f"element {k} has name {name!r}; element names "
                             "must be strings")
-    return from_covers(names, [tuple(c) for c in d["covers"]])
+    return from_covers(names, [tuple(c) for c in covers])
 
 
 def grid(m, n):

@@ -101,7 +101,8 @@ def test_grid_betti_symmetric():
 
 def test_planar_census_matches_oracle():
     for L in PLANAR_CENSUS:
-        assert planar_betti(L).total == first_betti_oracle(hibi_ideal(L))
+        I = hibi_ideal(L)
+        assert planar_betti(I).total == first_betti_oracle(I)
 
 
 def test_planar_pieces_on_grid():
@@ -111,13 +112,13 @@ def test_planar_pieces_on_grid():
 
 
 def test_stacked_diamonds_betti(stacked_diamonds):
-    b = planar_betti(stacked_diamonds)
+    b = planar_betti(hibi_ideal(stacked_diamonds))
     assert (b.nS, b.nL, b.nB, b.nD) == (0, 0, 0, 1)
 
 
 def test_planar_betti_runs_the_oracle_once(stacked_diamonds, count_calls):
     calls = count_calls(oracle, "graded_betti_oracle")
-    b = planar_betti(stacked_diamonds)
+    b = planar_betti(hibi_ideal(stacked_diamonds))
     assert len(calls) == 1
     assert [(r.degree, r.minimal_generators) for r in b.oracle] == [
         (3, 0), (4, 1)]
@@ -192,12 +193,13 @@ def test_diamond_criteria_pair_by_pair(census_to_twelve):
 def test_overlapping_grids_betti():
     for dims in [(2, 1, 1, 2), (3, 1, 1, 3), (3, 1, 2, 3)]:
         L = overlapping_grids(*dims)
-        assert planar_betti(L).total == first_betti_oracle(hibi_ideal(L))
+        I = hibi_ideal(L)
+        assert planar_betti(I).total == first_betti_oracle(I)
 
 
 def test_not_planar_rejected(boolean_cube):
     with pytest.raises(NotPlanar):
-        planar_betti(boolean_cube)
+        planar_betti(hibi_ideal(boolean_cube))
     with pytest.raises(NotPlanar):
         planar_formula(boolean_cube)
 
@@ -207,7 +209,7 @@ def test_cross_grid_l_type_reported_not_patched(bridged_diamonds):
     the closed-form count misses it, and the disagreement with the oracle is
     surfaced rather than silently reconciled."""
     with pytest.raises(OracleMismatch) as exc:
-        planar_betti(bridged_diamonds)
+        planar_betti(hibi_ideal(bridged_diamonds))
     assert exc.value.breakdown["oracle"] == 35
     assert exc.value.breakdown["formula"].total == 34
     # the typed classification itself is complete: its greedy minimal set
@@ -223,7 +225,7 @@ def test_diamond_count_counterexample_reported(diamond_counterexample):
     The typed generating set is complete all the same: its greedy minimal
     set reaches the oracle's 11."""
     with pytest.raises(OracleMismatch) as exc:
-        planar_betti(diamond_counterexample)
+        planar_betti(hibi_ideal(diamond_counterexample))
     assert exc.value.breakdown == {"diamond": 2, "oracle": 3}
     I = hibi_ideal(diamond_counterexample)
     hist = typed_minimal_histogram(I, all_typed_generators(I))

@@ -1,3 +1,6 @@
+import argparse
+import csv
+import io
 import json
 import shlex
 from pathlib import Path
@@ -14,7 +17,7 @@ from hibiring import (
     oracle,
     syzygy,
 )
-from hibiring.cli import main
+from hibiring.cli import build_parser, main
 from hibiring.polynomials import Polynomial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -90,6 +93,19 @@ def test_file_rejects_non_string_names(capsys, lattice_file, argv):
     code, out, err = run(capsys, *argv, "--file", path)
     assert (code, out) == (1, "")
     assert err == "error: element 0 has name 1; element names must be strings\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"elements": "abc", "covers": [[0, 1], [1, 2]]},
+     "'elements' must be a list of names"),
+    ({"elements": ["a", "b"], "covers": {"0": 1}},
+     "'covers' must be a list of [lower, upper] index pairs"),
+], ids=["elements", "covers"])
+def test_file_rejects_malformed_lists(capsys, lattice_file, doc, message):
+    """A string for elements is not read as a list of one-letter names, and
+    covers that are not index pairs name the key, not an unpacking error."""
+    code, out, err = run(capsys, "lattice", "--file", lattice_file(doc))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_grid_and_file_are_exclusive(capsys, lattice_file):
@@ -387,27 +403,35 @@ def test_syzygy_failed_phi_is_mismatch(capsys, monkeypatch):
 
 
 def test_census_runs_the_oracle_once_per_planar_lattice(capsys, count_calls):
-    planar = sum(1 for L in enumerate_distributive(7)
-                 if L.n > 1 and L.is_planar())
+    lattices = [L for L in enumerate_distributive(7) if L.n > 1]
+    planar = sum(1 for L in lattices if L.is_planar())
     calls = count_calls(oracle, "graded_betti_oracle")
     # the linearity check reads planar_betti's diamond count, not a second one
     counts = count_calls(betti, "n_diamond_planar")
+    # one ideal per lattice, shared by the certificate and the oracle
+    builds = count_calls(ideal, "hibi_ideal")
     code, _, _ = run(capsys, "census", "--max-elements", "7")
     assert code == 0
     assert len(calls) == len(counts) == planar
+    assert len(builds) == len(lattices) == 20
 
 
-def test_census_failure_replays_with_file(capsys, lattice_file):
-    """The one failing row of census <= 10 carries its lattice, and --file
-    replays it to the same disagreement."""
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_census_failure_replays_with_file(capsys, lattice_file, fmt):
+    """The one failing row of census <= 10 carries its lattice, as JSON in
+    either format, and --file replays it to the same disagreement."""
     code, out, _ = run(capsys, "census", "--max-elements", "10",
-                       "--format", "json")
+                       "--format", fmt)
     assert code == 2
-    rows = json.loads(out)["rows"]
-    failing = [row for row in rows if "error" in row]
-    assert [row for row in rows if "lattice" in row] == failing
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+    failing = [row for row in rows if row.get("error")]
+    assert [row for row in rows if row.get("lattice")] == failing
     (row,) = failing
-    code, out, _ = run(capsys, "betti", "--file", lattice_file(row["lattice"]),
+    doc = row["lattice"] if fmt == "json" else json.loads(row["lattice"])
+    code, out, _ = run(capsys, "betti", "--file", lattice_file(doc),
                        "--format", "json")
     assert code == 2
     assert json.loads(out)["oracle"]["by_degree"] == {"3": 8, "4": 3}
@@ -419,14 +443,14 @@ def test_census_four_elements(capsys):
     assert "4 lattices examined" in out
 
 
-def test_census_gb_csv(capsys):
+def test_census_csv(capsys):
     code, out, _ = run(capsys, "census", "--max-elements", "6",
-                       "--check", "gb", "--format", "csv")
+                       "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "elements,gb,k,planar"
+    assert lines[0] == "betti,elements,gb,k,linearity,planar"
     assert len(lines) == 13  # 12 lattices + header
-    assert all("pass" in ln for ln in lines[1:])
+    assert all(",pass," in ln for ln in lines[1:])
 
 
 def test_census_cap(capsys):
@@ -445,6 +469,9 @@ def test_deterministic_output(capsys):
     ["betti", "--grid", "1", "1", "--max-degree", "4"],
     ["betti", "--grid", "1", "1", "--threads", "2"],
     ["syzygy", "--grid", "2", "3", "--field", "fp:101"],
+    ["census", "--max-elements", "4", "--check", "gb"],
+    ["betti", "--grid", "1", "1", "--format", "csv"],
+    ["syzygy", "--grid", "1", "2", "--format", "csv"],
 ])
 def test_usage_error_is_input_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -452,6 +479,29 @@ def test_usage_error_is_input_error(capsys, argv):
     assert exc.value.code == 1
     out = capsys.readouterr()
     assert "usage:" in out.err and "151" not in out.out
+
+
+def test_cli_surface():
+    """Every subcommand's options, pinned: a flag added or removed shows up
+    here.  --format is text or json everywhere, and census also writes csv."""
+    shared = ["--grid", "--file", "--format"]
+    expected = {
+        "lattice": shared,
+        "ideal": shared + ["--field", "--export"],
+        "syzygy": shared + ["--classify", "--verify"],
+        "betti": shared + ["--mode"],
+        "linearity": shared + ["--verify"],
+        "census": ["--format", "--max-elements"],
+    }
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(expected)
+    for name, parser in sub.choices.items():
+        options = {s: a for a in parser._actions for s in a.option_strings}
+        assert list(options) == ["-h", "--help"] + expected[name], name
+        formats = ("text", "json", "csv") if name == "census" else (
+            "text", "json")
+        assert options["--format"].choices == formats, name
 
 
 def test_readme_cli_examples(capsys):

@@ -14,6 +14,10 @@ GOLDEN = [
      "c2ee9ba82fbcc8bfb2136f1f345806abdbe58614362692c77073d6f1815bde58"),
     ("census --max-elements 10 --format json", 2,
      "6cc592b4cdadf9c4b7a8ac6804abde7131ca44431e620ba5acd199e9a4e0e763"),
+    ("census --max-elements 12 --format json", 2,
+     "b83d31074120952359a4124c01a9838abfd706bf1a898750988f06215bc0aad0"),
+    ("census --max-elements 9 --format csv", 0,
+     "30f57cf8bcb392a7d6e825b901fd87404d2c127d82fa3f4b680b52c2a35f5e7d"),
     ("syzygy --grid 2 3 --verify --classify", 0,
      "83d2521b9959c4098830745b4842e5f06e12f9d4d482a75142b2961d4cfff0f2"),
     ("syzygy --grid 3 3 --verify --format json", 0,

@@ -182,7 +182,7 @@ def test_json_round_trip():
     h = from_json_dict(d)
     assert h.labels == g.labels
     assert h.covers == g.covers
-    assert h.leq == g.leq
+    assert (h.join, h.meet) == (g.join, g.meet)
 
 
 # -- census ------------------------------------------------------------------
