@@ -30,6 +30,7 @@ from .syzygy import (
     all_typed_generators,
     apply_phi,
     classify_pair,
+    iter_typed_generators,
     schreyer_pair,
     typed_generator,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "grid_betti",
     "hibi_ideal",
     "is_linear_first_syzygy",
+    "iter_typed_generators",
     "k_of",
     "planar_betti",
     "planar_linearity",

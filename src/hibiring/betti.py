@@ -211,6 +211,8 @@ _KIND_PRIORITY = {k: i for i, k in enumerate(FINE_KINDS)}
 def typed_minimal_histogram(ideal, gens):
     """Greedy minimal generating set drawn from gens, the typed generators.
 
+    Only degree-3 rows are read: a degree-4 row (kind D) in gens is skipped,
+    so a caller may pass the degree-3 generators alone, as cmd_syzygy does.
     Degree-3 elements are admitted in kind order strip, L, box, G, each one
     kept only if it enlarges the span, and the kept ones must span the whole
     degree-3 kernel (OracleMismatch otherwise, naming the first fiber they

@@ -32,7 +32,7 @@ from .ideal import (
     to_singular,
 )
 from .oracle import graded_betti_oracle, is_linear_first_syzygy
-from .syzygy import FINE_KINDS, all_typed_generators
+from .syzygy import FINE_KINDS, iter_typed_generators
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -62,13 +62,7 @@ def _load_lattice(args):
         return lat.grid(m, n)
     if args.file is not None:
         with open(args.file) as fh:
-            doc = json.load(fh)
-        try:
-            return lat.from_json_dict(doc)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"malformed lattice JSON (expected 'elements' and 'covers' "
-                f"keys): {exc}")
+            return lat.from_json_dict(json.load(fh))
     raise ValueError("provide a lattice via --grid M N or --file PATH")
 
 
@@ -130,42 +124,57 @@ def cmd_ideal(args):
     return EXIT_OK
 
 
-def _syzygy_json(labels, gens, report):
-    """json.dumps(report, indent=2, sort_keys=True) for report plus the
-    generator listing [{"kind": ..., "witness": [label, ...]}, ...], written
-    from the kinds and labels encoded once.  "generators" sorts first among
-    the keys, so the rest of the report follows the listing unchanged."""
+def _write_syzygy_json(labels, listing, report):
+    """Write json.dumps(report, indent=2, sort_keys=True) for report plus the
+    generator listing [{"kind": ..., "witness": [label, ...]}, ...], built
+    from the (kind, witness) pairs with the kinds and labels encoded once.
+    "generators" sorts first among the keys, so the rest of the report
+    follows the listing unchanged.  Three writes (head, listing, rest), none
+    per item: with unbuffered stdout each write is a system call."""
     label = [encode_basestring_ascii(x) for x in labels]
     kind = {k: encode_basestring_ascii(k) for k in FINE_KINDS}
     item = '    {\n      "kind": %s,\n      "witness": [\n        %s\n      ]\n    }'
     sep = ",\n        "
-    items = [item % (kind[t.kind], sep.join(map(label.__getitem__, t.witness)))
-             for t in gens]
-    listing = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    items = ",\n".join(item % (kind[k], sep.join(map(label.__getitem__, w)))
+                       for k, w in listing)
     rest = json.dumps(report, indent=2, sort_keys=True)
-    return '{\n  "generators": ' + listing + ",\n" + rest[2:] + "\n"
+    opening, closing = ("[\n", "\n  ]") if listing else ("[]", "")
+    out = sys.stdout
+    out.write('{\n  "generators": ' + opening)
+    out.write(items)
+    out.write(closing + ",\n" + rest[2:] + "\n")
+
+
+def _listing_and_histogram(ideal):
+    """(kind, witness) of every typed generator, each checked against phi = 0
+    where it is built, and their minimal histogram.  The histogram reads only
+    degree-3 rows, so D, the one degree-4 kind, keeps no row, and the rows it
+    read are freed on return, before any output is built."""
+    listing, degree3 = [], []
+    for t in iter_typed_generators(ideal):
+        listing.append((t.kind, t.witness))
+        if t.kind != "D":
+            degree3.append(t)
+    return listing, typed_minimal_histogram(ideal, degree3)
 
 
 def cmd_syzygy(args):
     L = _load_lattice(args)
-    ideal = hibi_ideal(L)
-    gens = all_typed_generators(ideal)  # each one checked against phi = 0
-    hist = typed_minimal_histogram(ideal, gens)
+    listing, hist = _listing_and_histogram(hibi_ideal(L))
     report = {"minimal_histogram": hist, "total": sum(hist.values()),
               "verified": bool(args.verify)}
     if args.format == "json":
-        sys.stdout.write(_syzygy_json(L.labels, gens, report))
+        _write_syzygy_json(L.labels, listing, report)
         return EXIT_OK
     lines = []
     if args.classify:
-        lines += [f"  {t.kind} witness "
-                  f"({', '.join(L.labels[v] for v in t.witness)})"
-                  for t in gens]
+        lines += [f"  {k} witness ({', '.join(L.labels[v] for v in w)})"
+                  for k, w in listing]
     lines.append("minimal histogram: "
                  + ", ".join(f"{k}={v}" for k, v in hist.items()))
     lines.append(f"total minimal generators: {report['total']}")
     if args.verify:
-        lines.append(f"all {len(gens)} typed generators verified as syzygies")
+        lines.append(f"all {len(listing)} typed generators verified as syzygies")
     _emit(args, report, lines)
     return EXIT_OK
 

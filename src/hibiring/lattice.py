@@ -236,11 +236,21 @@ def from_covers(names, covers):
 
 
 def from_json_dict(d):
+    """Build a Lattice from {"elements": [name, ...], "covers": [[lower,
+    upper], ...]}, the form Lattice.to_json_dict writes; a document of any
+    other shape raises HibiError naming its first fault."""
+    if not isinstance(d, dict):
+        raise HibiError("malformed lattice JSON: the top level must be an "
+                        "object with 'elements' and 'covers' keys")
+    for key in ("elements", "covers"):
+        if key not in d:
+            raise HibiError(f"malformed lattice JSON: no {key!r} key")
     names, covers = d["elements"], d["covers"]
     if not isinstance(names, list):
         raise HibiError("'elements' must be a list of names")
     if not (isinstance(covers, list)
-            and all(isinstance(c, list) and len(c) == 2 for c in covers)):
+            and all(isinstance(c, list) and len(c) == 2
+                    and all(type(i) is int for i in c) for c in covers)):
         raise HibiError("'covers' must be a list of [lower, upper] index pairs")
     for k, name in enumerate(names):
         if not isinstance(name, str):

@@ -382,13 +382,33 @@ def typed_generators_for_pair(ideal, p1, p2):
     return _family_generators(ideal, *classify_full(ideal.lattice, p1, p2))
 
 
-def all_typed_generators(ideal):
-    """The typed generators of every pair of diamonds, each (family, witness)
-    built once: a strip pair and its dual configuration share a witness."""
+def iter_typed_generators(ideal):
+    """The typed generators of every pair of diamonds, classified and built
+    in one pass over the pairs in relation order, each phi-checked where it
+    is built (typed_generator).
+
+    Each (family, witness) is built once, at its first pair: a strip pair and
+    its dual configuration share a witness.  Only shared-element witnesses
+    can repeat, so only they enter the seen-set; a D witness is its own pair
+    of relations.
+    """
+    L = ideal.lattice
     pairs = [r.pair for r in ideal.relations]
-    classified = dict.fromkeys(classify_full(ideal.lattice, p, q)
-                               for k, p in enumerate(pairs) for q in pairs[k + 1:])
-    return [t for fw in classified for t in _family_generators(ideal, *fw)]
+    seen = set()
+    for k, p in enumerate(pairs):
+        for q in pairs[k + 1:]:
+            family, witness = fw = classify_full(L, p, q)
+            if family != "D":
+                if fw in seen:
+                    continue
+                seen.add(fw)
+            yield from _family_generators(ideal, family, witness)
+
+
+def all_typed_generators(ideal):
+    """list(iter_typed_generators(ideal)): every typed generator, held at
+    once."""
+    return list(iter_typed_generators(ideal))
 
 
 # -- diamond reducibility -----------------------------------------------------

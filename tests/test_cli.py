@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,20 @@ def test_file_rejects_non_string_names(capsys, lattice_file, argv):
 def test_file_rejects_malformed_lists(capsys, lattice_file, doc, message):
     """A string for elements is not read as a list of one-letter names, and
     covers that are not index pairs name the key, not an unpacking error."""
+    code, out, err = run(capsys, "lattice", "--file", lattice_file(doc))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"elements": ["a", "b"], "covers": [["0", 1]]},
+     "'covers' must be a list of [lower, upper] index pairs"),
+    ([], "malformed lattice JSON: the top level must be an object with "
+         "'elements' and 'covers' keys"),
+    ({"elements": ["a", "b"]}, "malformed lattice JSON: no 'covers' key"),
+], ids=["string-index", "top-level-list", "no-covers"])
+def test_file_names_the_fault(capsys, lattice_file, doc, message):
+    """Each malformed document is an input error that names its own fault,
+    not a missing key for every KeyError or TypeError."""
     code, out, err = run(capsys, "lattice", "--file", lattice_file(doc))
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -354,11 +369,42 @@ def test_betti_formula_walks_the_jm_elements_once(capsys, lattice_file,
 
 
 def test_syzygy_builds_typed_generators_once(capsys, count_calls):
-    calls = count_calls(syzygy, "all_typed_generators")
+    calls = count_calls(syzygy, "iter_typed_generators")
     code, out, _ = run(capsys, "syzygy", "--grid", "2", "3")
     assert code == 0
     assert "total minimal generators: 52" in out
     assert len(calls) == 1
+
+
+def test_syzygy_histogram_reads_no_d_row(capsys, count_calls):
+    """The histogram is passed the degree-3 generators only: every one that
+    is not of kind D, and no degree-4 row."""
+    calls = count_calls(betti, "typed_minimal_histogram")
+    code, out, _ = run(capsys, "syzygy", "--grid", "2", "3", "--format",
+                       "json")
+    assert code == 0
+    kinds = [g["kind"] for g in json.loads(out)["generators"]]
+    (_, gens), = calls
+    assert [t.kind for t in gens] == [k for k in kinds if k != "D"]
+    assert len(gens) < len(kinds) == 161
+    assert all(len(mu) == 1 for t in gens for mu, _ in t.row)
+
+
+def test_syzygy_peak_memory(capsys):
+    """Only the degree-3 rows outlive their φ check: the JSON run on grid
+    4x4 (5,150 typed generators, 1,100 of degree 3) peaks under 5 MB of
+    Python allocations, where holding every row took 6.3 MB."""
+    oracle.shape_h1.cache_clear()  # measure a cold run, as a fresh process
+    tracemalloc.start()
+    try:
+        code = main(["syzygy", "--grid", "4", "4", "--verify", "--format",
+                     "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["generators"]) == 5150
+    assert peak < 5 * 2 ** 20
 
 
 def test_syzygy_verify_applies_phi_once(capsys, count_calls):
@@ -390,6 +436,22 @@ def test_syzygy_verify_makes_no_polynomial_product(capsys, monkeypatch):
     x = Polynomial.variable(0)
     x * x  # the counter is live
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_syzygy_late_failure_writes_nothing(capsys, monkeypatch, fmt):
+    """A generator that fails φ = 0 after others have been built and listed
+    still stops the command before anything is written."""
+    checks = []
+    phi = syzygy.apply_phi
+
+    def fails_last(row, I):
+        checks.append(row)
+        return {(): 1} if len(checks) == 161 else phi(row, I)
+    monkeypatch.setattr(syzygy, "apply_phi", fails_last)
+    code, out, err = run(capsys, "syzygy", "--grid", "2", "3", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: D element on witness")
 
 
 def test_syzygy_failed_phi_is_mismatch(capsys, monkeypatch):

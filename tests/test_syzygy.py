@@ -20,9 +20,11 @@ from hibiring.polynomials import Polynomial
 from hibiring.syzygy import (
     all_typed_generators,
     apply_phi,
+    classify_full,
     classify_pair,
     diamond_reducible,
     divide_row,
+    iter_typed_generators,
     position_key,
     s_vector,
     schreyer_key,
@@ -199,6 +201,35 @@ def test_typed_span_equals_kernel_census():
         gens = all_typed_generators(I)
         deg3 = [t.row for t in gens if len(next(iter(t.row))[0]) == 1]
         assert row_rank(deg3) == kernel_dim(I, 3)
+
+
+def _typed_generators_reference(I):
+    """Every typed generator, built the two-pass way: classify every pair of
+    diamonds, deduplicate all classifications with dict.fromkeys, then build
+    each family's kinds in order, dropping rows that vanish."""
+    pairs = [r.pair for r in I.relations]
+    classified = dict.fromkeys(classify_full(I.lattice, p, q)
+                               for k, p in enumerate(pairs)
+                               for q in pairs[k + 1:])
+    fines = {"strip": ("S1", "S2"), "box": ("B1", "B2")}
+    built = (typed_generator(I, fine, witness)
+             for family, witness in classified
+             for fine in fines.get(family, (family,)))
+    return [t for t in built if t.row]
+
+
+@pytest.mark.parametrize("lattices", [
+    CENSUS, [grid(m, n) for m in (1, 2, 3) for n in range(m, 4)]],
+    ids=["census8", "grids3x3"])
+def test_iter_typed_generators_matches_reference(lattices):
+    """The one-pass iterator yields the (kind, witness, row) sequence of
+    classifying every pair first and deduplicating all classifications."""
+    for L in lattices:
+        I = hibi_ideal(L)
+        expected = _typed_generators_reference(I)
+        got = iter_typed_generators(I)
+        assert iter(got) is got  # a stream, not a list
+        assert list(got) == expected == all_typed_generators(I)
 
 
 def test_strip_pair_matches_worked_example():
