@@ -22,7 +22,8 @@ class Lattice:
 
     Fields: n (element count), labels, join/meet (n x n element tables),
     covers (list of (lower, upper)), height (rank of each element, bottom
-    at 0).
+    at 0).  The order is held as bit masks: bit b of _up[a] is set when
+    a <= b, and bit a of _down[b] likewise.
     """
 
     __slots__ = ("n", "labels", "join", "meet", "covers", "height",
@@ -30,9 +31,10 @@ class Lattice:
                  "_comparable_pairs", "_jm_set")
 
     def __init__(self, labels, up):
-        # up[a] = frozenset of b with a <= b (reflexive); validated by callers
-        # via _build, which fills joins, meets, covers, heights and checks the
-        # lattice and distributivity axioms.
+        """up[a] is the bit mask of the b with a <= b.  The relation must be
+        reflexive and transitive; _build rejects it otherwise, then checks
+        the lattice and distributivity axioms and fills joins, meets, covers
+        and heights."""
         self.n = len(labels)
         self.labels = tuple(labels)
         self._up = tuple(up)
@@ -45,68 +47,93 @@ class Lattice:
     # -- construction -----------------------------------------------------
 
     def _build(self):
+        """Check the order and lattice axioms and fill the tables, on bit
+        masks.
+
+        In a partial order, join(a, b) is the element whose up-set is
+        up(a) & up(b) when one has it, and otherwise there is none: c is the
+        least upper bound exactly when the upper bounds of a and b are the
+        elements above c.  Up-sets are distinct by antisymmetry, so each join
+        is one dict lookup; meets likewise on down-sets.  This needs up to be
+        transitive, which is checked first.
+        """
         n = self.n
         up = self._up
-        down = tuple(frozenset(a for a in range(n) if b in up[a]) for b in range(n))
-        self._down = down
-
+        labels = self.labels
+        down = [0] * n
         for a in range(n):
-            for b in up[a]:
-                if a != b and a in up[b]:
-                    raise NotALattice(f"order is not antisymmetric on {a},{b}")
+            ua = up[a]
+            if not ua >> a & 1:
+                raise NotALattice(f"order is not reflexive at {labels[a]}")
+            for b in _bits(ua):
+                down[b] |= 1 << a
+                if up[b] & ~ua:
+                    c = _bits(up[b] & ~ua)[0]
+                    raise NotALattice(
+                        f"order is not transitive: {labels[a]} <= {labels[b]}"
+                        f" <= {labels[c]} but not {labels[a]} <= {labels[c]}")
+        self._down = down = tuple(down)
 
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
+        by_up = {u: a for a, u in enumerate(up)}
+        if len(by_up) < n:
+            a, b = next((a, b) for a in range(n) for b in _bits(up[a])
+                        if a != b and up[b] >> a & 1)
+            raise NotALattice(f"order is not antisymmetric on {a},{b}")
+        by_down = {d: a for a, d in enumerate(down)}
+
+        join, meet = [], []
         for a in range(n):
-            for b in range(a, n):
-                common = up[a] & up[b]
-                if not common:
-                    raise NotALattice(
-                        f"elements {self.labels[a]},{self.labels[b]} have no upper bound")
-                j = next((c for c in common if common <= up[c]), None)
-                if j is None:
-                    raise NotALattice(
-                        f"elements {self.labels[a]},{self.labels[b]} have no least upper bound")
-                commond = down[a] & down[b]
-                if not commond:
-                    raise NotALattice(
-                        f"elements {self.labels[a]},{self.labels[b]} have no lower bound")
-                m = next((c for c in commond if commond <= down[c]), None)
-                if m is None:
-                    raise NotALattice(
-                        f"elements {self.labels[a]},{self.labels[b]} have no greatest lower bound")
-                join[a][b] = join[b][a] = j
-                meet[a][b] = meet[b][a] = m
-        self.join = tuple(tuple(r) for r in join)
-        self.meet = tuple(tuple(r) for r in meet)
+            ua, da = up[a], down[a]
+            jrow = [by_up.get(ua & u) for u in up]
+            mrow = [by_down.get(da & d) for d in down]
+            if None in jrow or None in mrow:
+                self._no_bound(a, jrow, mrow)
+            join.append(jrow)
+            meet.append(mrow)
 
+        # the law holds trivially when x <= y or y <= x, so only rows of
+        # incomparable pairs are compared
         for x in range(n):
+            jx, mx = join[x], meet[x]
             for y in range(x + 1, n):
-                for z in range(n):
-                    if self.meet[self.join[x][y]][z] != self.join[self.meet[x][z]][self.meet[y][z]]:
-                        raise NotDistributive((self.labels[x], self.labels[y], self.labels[z]))
-
-        covers = []
-        for a in range(n):
-            for b in up[a]:
-                if b == a:
+                j = jx[y]
+                if j == x or j == y:
                     continue
-                between = up[a] & down[b]
-                if len(between) == 2:
-                    covers.append((a, b))
-        self.covers = tuple(sorted(covers))
+                row = [join[p][q] for p, q in zip(mx, meet[y])]
+                if meet[j] != row:
+                    z = next(z for z in range(n) if meet[j][z] != row[z])
+                    raise NotDistributive((labels[x], labels[y], labels[z]))
+        self.join = tuple(map(tuple, join))
+        self.meet = tuple(map(tuple, meet))
+
+        self.covers = tuple((a, b) for a in range(n) for b in _bits(up[a])
+                            if (up[a] & down[b]).bit_count() == 2)
 
         # Birkhoff: the rank of a is the number of join-irreducibles below it
-        ji = self.join_irreducibles()
-        self.height = tuple(len(down[a] & ji) for a in range(n))
+        ji = sum(1 << a for a in self.join_irreducibles())
+        self.height = tuple((d & ji).bit_count() for d in down)
+
+    def _no_bound(self, a, jrow, mrow):
+        """Raise NotALattice for the first b >= a whose join or meet with a
+        is missing; each pair (b, a) with b < a was found in an earlier row."""
+        up, down = self._up, self._down
+        for b in range(a, self.n):
+            pair = f"elements {self.labels[a]},{self.labels[b]} have"
+            if jrow[b] is None:
+                least = "least " if up[a] & up[b] else ""
+                raise NotALattice(f"{pair} no {least}upper bound")
+            if mrow[b] is None:
+                greatest = "greatest " if down[a] & down[b] else ""
+                raise NotALattice(f"{pair} no {greatest}lower bound")
 
     # -- queries ----------------------------------------------------------
 
     def le(self, a, b):
-        return b in self._up[a]
+        return self.join[a][b] == b
 
     def incomparable(self, a, b):
-        return a != b and b not in self._up[a] and a not in self._up[b]
+        j = self.join[a][b]
+        return j != a and j != b
 
     @property
     def bottom(self):
@@ -114,7 +141,7 @@ class Lattice:
 
     @property
     def top(self):
-        return max(range(self.n), key=lambda a: len(self._down[a]))
+        return max(range(self.n), key=lambda a: self._down[a].bit_count())
 
     def incomparable_pairs(self):
         """All unordered incomparable pairs (a, b) with a < b, lexicographic."""
@@ -145,7 +172,7 @@ class Lattice:
                 by_meet.setdefault(self.meet[a][b], []).append((a, b))
             self._comparable_pairs = tuple(sorted(
                 (lo, hi) for lo in pairs
-                for x in self._up[self.join[lo[0]][lo[1]]]
+                for x in _bits(self._up[self.join[lo[0]][lo[1]]])
                 for hi in by_meet.get(x, ())))
         return self._comparable_pairs
 
@@ -175,10 +202,11 @@ class Lattice:
         """The induced sublattice on {x : a <= x <= b}; parent_map maps back."""
         if not self.le(a, b):
             raise NotComparable(f"{self.labels[a]} is not below {self.labels[b]}")
-        members = sorted(self._up[a] & self._down[b],
-                         key=lambda x: (self.height[x], x))
+        span = self._up[a] & self._down[b]
+        members = sorted(_bits(span), key=lambda x: (self.height[x], x))
         pos = {x: i for i, x in enumerate(members)}
-        up = [frozenset(pos[y] for y in self._up[x] if y in pos) for x in members]
+        up = [sum(1 << pos[y] for y in _bits(self._up[x] & span))
+              for x in members]
         sub = Lattice([self.labels[x] for x in members], up)
         sub.parent_map = tuple(members)
         return sub
@@ -203,35 +231,51 @@ class Lattice:
         return {"elements": list(self.labels), "covers": [list(c) for c in self.covers]}
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def from_covers(names, covers):
-    """Build a Lattice from element names and a cover (or any acyclic) relation."""
+    """Build a Lattice from element names and a cover (or any acyclic) relation.
+
+    The relation is closed without recursion: an element's up-set is itself
+    and the up-sets of its upper covers, so the up-sets are filled from the
+    elements with no upper cover down, each once all its upper covers are
+    filled (Kahn's topological order).  Elements never filled lie on or
+    below a cycle.
+    """
     names = list(names)
     if not names:
         raise EmptyInput("no elements")
     n = len(names)
     adj = [set() for _ in range(n)]
+    lower = [[] for _ in range(n)]
     for (a, b) in covers:
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise NotALattice(f"bad cover pair ({a},{b})")
-        adj[a].add(b)
-    up = [None] * n
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-
-    def reach(a):
-        if state[a] == 1:
-            raise NotALattice("cover relation has a cycle")
-        if state[a] == 2:
-            return up[a]
-        state[a] = 1
-        s = {a}
-        for b in adj[a]:
-            s |= reach(b)
-        state[a] = 2
-        up[a] = frozenset(s)
-        return up[a]
-
-    for a in range(n):
-        reach(a)
+        if b not in adj[a]:
+            adj[a].add(b)
+            lower[b].append(a)
+    up = [0] * n
+    waiting = [len(adj[a]) for a in range(n)]
+    ready = [a for a in range(n) if not waiting[a]]
+    for b in ready:  # ready grows while it is walked
+        mask = 1 << b
+        for c in adj[b]:
+            mask |= up[c]
+        up[b] = mask
+        for a in lower[b]:
+            waiting[a] -= 1
+            if not waiting[a]:
+                ready.append(a)
+    if len(ready) < n:
+        raise NotALattice("cover relation has a cycle")
     return Lattice(names, up)
 
 
@@ -280,29 +324,14 @@ def from_points(pts):
     indexed by (coordinate sum, second coordinate) and labelled "1".."N".
     """
     pts = sorted(set(pts), key=lambda p: (p[0] + p[1], p[1]))
-    pos = {p: k for k, p in enumerate(pts)}
-    up = [frozenset(pos[q] for q in pts if q[0] >= p[0] and q[1] >= p[1]) for p in pts]
+    up = [sum(1 << k for k, q in enumerate(pts) if q[0] >= p[0] and q[1] >= p[1])
+          for p in pts]
     return Lattice([str(k + 1) for k in range(len(pts))], up)
 
 
 # -- census of small distributive lattices --------------------------------
 
 ENUMERATION_CAP = 12
-
-
-def _ideals(down):
-    """All order ideals (as bitmasks) of the poset given by strict-down masks."""
-    n = len(down)
-    out = []
-    for s in range(1 << n):
-        ok = True
-        for i in range(n):
-            if s >> i & 1 and down[i] & ~s:
-                ok = False
-                break
-        if ok:
-            out.append(s)
-    return out
 
 
 def _poset_canon(down):
@@ -339,49 +368,51 @@ def _poset_canon(down):
     return (n, tuple(sorted(inv)), best)
 
 
-def _birkhoff(down):
-    """Lattice of order ideals of the given poset."""
-    ideals = sorted(_ideals(down), key=lambda s: (bin(s).count("1"), s))
-    pos = {s: k for k, s in enumerate(ideals)}
-    up = [frozenset(pos[t] for t in ideals if t & s == s) for s in ideals]
-    labels = ["{" + ",".join(str(i) for i in range(len(down)) if s >> i & 1) + "}"
-              for s in ideals]
+def _birkhoff(ideals):
+    """Lattice of the given order ideals of a poset, ordered by inclusion."""
+    ideals = sorted(ideals, key=lambda s: (s.bit_count(), s))
+    up = [sum(1 << k for k, t in enumerate(ideals) if t & s == s) for s in ideals]
+    labels = ["{" + ",".join(map(str, _bits(s))) + "}" for s in ideals]
     return Lattice(labels, up)
 
 
 def enumerate_distributive(max_elements):
     """Every distributive lattice with at most max_elements elements, one per
-    isomorphism class, smallest first."""
+    isomorphism class, smallest first.
+
+    Each poset is grown one element at a time, a new element e placed on top
+    of an order ideal d of the poset P so far, and each poset carries its
+    order ideals as bit masks in ascending order.  The ideals of P + e are
+    those of P and the s | e for the ideals s of P containing d: an ideal
+    holding e holds e's down-set d, and removing e from it leaves an ideal of
+    P; conversely, e is maximal in P + e, so adding it to an ideal holding d
+    gives an ideal.
+    """
     if max_elements > ENUMERATION_CAP:
         raise CapExceeded(f"max_elements {max_elements} exceeds cap {ENUMERATION_CAP}")
     if max_elements < 1:
         return
-    posets = []           # (ideal_count, canon, down)
-    seen = set()
-    frontier = [[]]       # posets as strict-down mask lists, grown one element at a time
     key = _poset_canon([])
-    seen.add(key)
-    posets.append((1, key, []))
+    seen = {key}
+    posets = [(1, key, [0])]  # (ideal count, canon, ideals)
+    frontier = [([], [0])]    # (strict-down masks, ideals), grown one element at a time
     while frontier:
         nxt = []
-        for down in frontier:
-            n = len(down)
-            ideals = _ideals(down)
+        for down, ideals in frontier:
+            e = 1 << len(down)
             for d in ideals:
-                closure = d
-                for i in range(n):
-                    if d >> i & 1:
-                        closure |= down[i]
-                new_down = down + [closure]
-                count = sum(1 for s in ideals if s & d == d) + len(ideals)
+                above = [s | e for s in ideals if s & d == d]
+                count = len(ideals) + len(above)
                 if count > max_elements:
                     continue
+                new_down = down + [d]
                 key = _poset_canon(new_down)
                 if key in seen:
                     continue
                 seen.add(key)
-                posets.append((count, key, new_down))
-                nxt.append(new_down)
+                new_ideals = ideals + above
+                posets.append((count, key, new_ideals))
+                nxt.append((new_down, new_ideals))
         frontier = nxt
-    for _, _, down in sorted(posets, key=lambda t: (t[0], t[1])):
-        yield _birkhoff(down)
+    for _, _, ideals in sorted(posets, key=lambda t: t[:2]):
+        yield _birkhoff(ideals)

@@ -204,12 +204,16 @@ def _comparable_pair_fibers(lattice):
     The codes are in base TOP_DEGREE + 1, so a sum of four codes never
     carries.  A degree-4 monomial of code c with least variable y is y times
     a degree-3 monomial of code c - code(y) with no variable below y, so one
-    table of the degree-3 monomials builds every fiber whole.
+    table of the degree-3 monomials builds every fiber whole.  With no
+    comparable pair there is no fiber, and the table is not built.
     """
+    comparable = lattice.comparable_pairs()
+    if not comparable:
+        return []
     codes = fiber_codes(lattice, TOP_DEGREE)
     cubics = _monomials_by_code(codes, 3)
     pairs = {codes[a] + codes[b] + codes[c] + codes[e]
-             for (a, b), (c, e) in lattice.comparable_pairs()}
+             for (a, b), (c, e) in comparable}
     return [[(y,) + rest for y in range(lattice.n)
              for rest in cubics.get(code - codes[y], ()) if rest[0] >= y]
             for code in pairs]

@@ -115,6 +115,15 @@ class Polynomial:
         self._lead = None  # (order, leading monomial)
 
     @classmethod
+    def _nonzero(cls, coeffs):
+        """The polynomial of a coefficient dict that holds no zero, taken
+        over as it is: no copy, no filter."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        p._lead = None
+        return p
+
+    @classmethod
     def zero(cls):
         return cls({})
 
@@ -157,8 +166,11 @@ class Polynomial:
     __rmul__ = __mul__
 
     def mul_term(self, mono, coeff=1):
-        return Polynomial({mono_mul(m, mono): coeff * v
-                           for m, v in self.coeffs.items()})
+        # distinct monomials stay distinct, and nonzero products are nonzero
+        if not coeff:
+            return Polynomial.zero()
+        return Polynomial._nonzero({mono_mul(m, mono): coeff * v
+                                    for m, v in self.coeffs.items()})
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -277,7 +289,7 @@ def divide(f, divisors, order):
     """
     index, terms, remainder = _reduce(f, divisors, order)
     unused = Polynomial.zero()
-    quotients = [Polynomial(terms[i]) if i in terms else unused
+    quotients = [Polynomial._nonzero(terms[i]) if i in terms else unused
                  for i in range(len(index.leads))]
     return quotients, remainder
 
@@ -293,7 +305,9 @@ def _reduce(f, divisors, order):
 
     The dividend is reduced in place as one coefficient dict: a step pops its
     leading term and subtracts q times the divisor's tail, since the lead
-    cancels exactly in exact arithmetic.
+    cancels exactly in exact arithmetic.  A coefficient that cancels is
+    deleted, so the work dict, and the terms and remainder drawn from it,
+    hold no zero.
     """
     index = (divisors if isinstance(divisors, DivisorIndex)
              else DivisorIndex(divisors, order))
@@ -325,7 +339,7 @@ def _reduce(f, divisors, order):
                     work[t] = v
                 else:
                     del work[t]
-    return index, terms, Polynomial(remainder)
+    return index, terms, Polynomial._nonzero(remainder)
 
 
 def s_polynomial(f, g, order):

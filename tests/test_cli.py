@@ -123,6 +123,16 @@ def test_file_names_the_fault(capsys, lattice_file, doc, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_file_with_long_cycle(capsys, lattice_file):
+    """Covers forming a 1,100-element cycle, longer than the interpreter's
+    recursion limit, are an input error like a short cycle."""
+    n = 1100
+    doc = {"elements": [str(i) for i in range(n)],
+           "covers": [[i, (i + 1) % n] for i in range(n)]}
+    code, out, err = run(capsys, "lattice", "--file", lattice_file(doc))
+    assert (code, out, err) == (1, "", "error: cover relation has a cycle\n")
+
+
 def test_grid_and_file_are_exclusive(capsys, lattice_file):
     """Both inputs at once is a usage error, not a run on the grid with the
     file ignored."""

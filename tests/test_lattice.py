@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hibiring import (
     from_points,
     grid,
 )
+from hibiring import lattice as lattice_module
 from hibiring.errors import (
     CapExceeded,
     EmptyInput,
@@ -42,24 +45,64 @@ def test_diamond():
 
 
 def test_n5_rejected():
+    # the first failing triple (x, y, z), x < y, in index order
     with pytest.raises(NotDistributive) as e:
         from_covers(list("abcde"), [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
-    assert len(e.value.witness) == 3
+    assert e.value.witness == ("b", "c", "d")
 
 
 def test_m3_rejected():
-    with pytest.raises(NotDistributive):
+    with pytest.raises(NotDistributive) as e:
         from_covers(list("abcde"), [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    assert e.value.witness == ("b", "c", "d")
 
 
 def test_no_top_rejected():
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice, match="^elements b,c have no upper bound$"):
         from_covers(["a", "b", "c"], [(0, 1), (0, 2)])
 
 
+# two minimal elements, a and b, both below the two maximal ones, c and d
+BOWTIE = (list("abcd"), [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("names, covers, message", [
+    (["a", "b", "c"], [(1, 0), (2, 0)], "elements b,c have no lower bound"),
+    (*BOWTIE, "elements a,b have no least upper bound"),
+    # top t above u and v, both above p and q, both above bottom o: u and v
+    # have the join t, but their lower bounds p, q and o have no greatest
+    (list("tuvpqo"),
+     [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
+     "elements u,v have no greatest lower bound"),
+], ids=["no-lower-bound", "bowtie", "no-greatest-lower-bound"])
+def test_missing_bound_rejected(names, covers, message):
+    with pytest.raises(NotALattice, match=f"^{message}$"):
+        from_covers(names, covers)
+
+
+@pytest.mark.parametrize("up, message", [
+    ([0b011, 0b010, 0b000], "order is not reflexive at c"),
+    ([0b011, 0b110, 0b100], "order is not transitive: a <= b <= c but not a <= c"),
+    ([0b011, 0b011, 0b111], "order is not antisymmetric on 0,1"),
+], ids=["irreflexive", "intransitive", "antisymmetry"])
+def test_order_axioms_checked(up, message):
+    """Lattice(labels, up) takes up-sets as bit masks and checks that they
+    form a partial order before it looks for joins and meets."""
+    with pytest.raises(NotALattice, match=f"^{message}$"):
+        Lattice(list("abc"), up)
+
+
 def test_cycle_rejected():
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice, match="^cover relation has a cycle$"):
         from_covers(["a", "b"], [(0, 1), (1, 0)])
+
+
+def test_long_cycle_rejected():
+    """A cycle longer than the interpreter's recursion limit is reported as
+    a cycle: the relation is closed without recursion."""
+    n = 1100
+    with pytest.raises(NotALattice, match="^cover relation has a cycle$"):
+        from_covers([str(i) for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_self_cover_rejected():
@@ -206,6 +249,24 @@ def test_census_sizes_to_twelve(census_to_twelve):
         by_size[L.n] = by_size.get(L.n, 0) + 1
     assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15,
                        9: 26, 10: 47, 11: 82, 12: 151}
+
+
+def test_census_sizes_to_fourteen(monkeypatch):
+    """OEIS A006982 at 13 and 14 elements, past the public cap, which this
+    test alone raises."""
+    monkeypatch.setattr(lattice_module, "ENUMERATION_CAP", 14)
+    by_size = Counter(L.n for L in enumerate_distributive(14))
+    assert (by_size[13], by_size[14]) == (269, 494)
+
+
+def test_census_tables_pinned(census_to_twelve):
+    """The labels, join and meet tables, covers and heights of census <= 12,
+    grid 4x5 and grid 8x8, as one digest."""
+    h = hashlib.sha256()
+    for L in census_to_twelve + [grid(4, 5), grid(8, 8)]:
+        h.update(repr((L.labels, L.join, L.meet, L.covers, L.height)).encode())
+    assert h.hexdigest() == (
+        "77e19f8a25a9014ba0001f3384a44778c2423517cecb8c5d277ac039dae238f0")
 
 
 def test_census_cap():

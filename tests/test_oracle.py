@@ -395,6 +395,18 @@ def test_oracle_enumerates_s3_once(count_calls):
     assert exact == []
 
 
+def test_no_comparable_pair_enumerates_nothing(count_calls, stacked_diamonds):
+    """The degree-4 row enumerates S_3 only for a lattice with a comparable
+    pair: grid 1x2 has none and enumerates no monomial, stacked_diamonds has
+    one and enumerates S_3 once."""
+    enumerations = count_calls(oracle, "combinations_with_replacement")
+    assert grid(1, 2).comparable_pairs() == ()
+    assert graded_betti_row(hibi_ideal(grid(1, 2)), 4).minimal_generators == 0
+    assert enumerations == []
+    assert graded_betti_row(hibi_ideal(stacked_diamonds), 4).minimal_generators == 1
+    assert [args[1] for args in enumerations] == [3]
+
+
 def test_degree_three_fibers_carry_their_kernel():
     """The fiberwise form of the degree-3 row: on every degree-3 fiber b of
     the census up to 9 elements and of grid 2x3, kernel_b equals

@@ -162,6 +162,7 @@ def test_poly_basics():
     assert f.is_homogeneous()
     assert (f - f).is_zero()
     assert (f - f).degree() == -1
+    assert Polynomial({(0,): 0, (1,): 2, (): Fraction(0)}).coeffs == {(1,): 2}
 
 
 def test_leading_term():
@@ -221,6 +222,18 @@ def test_divide_exactness(f, gs):
     leads = [g.leading_monomial(ORDER) for g in gs]
     for m in r.coeffs:
         assert all(mono_div(m, lm) is None for lm in leads)
+
+
+@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
+                         min_size=1, max_size=3), monos(3), rationals())
+@settings(max_examples=60, deadline=None)
+def test_built_polynomials_hold_no_zero(f, gs, mono, coeff):
+    """mul_term and divide's quotients and remainder keep the dicts they
+    build, unfiltered; none holds a zero coefficient."""
+    qs, r = divide(f, gs, ORDER)
+    for p in qs + [r, f.mul_term(mono, coeff)]:
+        assert all(p.coeffs.values())
+    assert f.mul_term(mono, 0).is_zero()
 
 
 def test_divide_first_divisor_wins():
