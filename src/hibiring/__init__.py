@@ -2,10 +2,8 @@
 
 from . import errors
 from .betti import (
-    GridBettiBreakdown,
     LinearityVerdict,
     PlanarBettiBreakdown,
-    grid_betti,
     k_of,
     planar_betti,
     planar_linearity,
@@ -27,25 +25,19 @@ from .oracle import (
 )
 from .syzygy import (
     TypedSyzygy,
-    all_typed_generators,
     apply_phi,
-    classify_pair,
     iter_typed_generators,
-    schreyer_pair,
     typed_generator,
 )
 
 __all__ = [
-    "GridBettiBreakdown",
     "HibiIdeal",
     "Lattice",
     "LinearityVerdict",
     "PlanarBettiBreakdown",
     "TypedSyzygy",
-    "all_typed_generators",
     "apply_phi",
     "buchberger_check",
-    "classify_pair",
     "enumerate_distributive",
     "errors",
     "first_betti_oracle",
@@ -54,14 +46,12 @@ __all__ = [
     "from_points",
     "graded_betti_oracle",
     "grid",
-    "grid_betti",
     "hibi_ideal",
     "is_linear_first_syzygy",
     "iter_typed_generators",
     "k_of",
     "planar_betti",
     "planar_linearity",
-    "schreyer_pair",
     "typed_generator",
     "typed_minimal_histogram",
 ]

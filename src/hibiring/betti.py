@@ -52,22 +52,6 @@ def box_grid(m, n):
     return l_grid(m, n)
 
 
-class GridBettiBreakdown(NamedTuple):
-    m: int
-    n: int
-    strip: int
-    l: int
-    box: int
-
-    @property
-    def total(self):
-        return self.strip + self.l + self.box
-
-
-def grid_betti(m, n):
-    return GridBettiBreakdown(m, n, strip_grid(m, n), l_grid(m, n), box_grid(m, n))
-
-
 # -- planar formulas ----------------------------------------------------------
 
 

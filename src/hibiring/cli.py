@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from math import isqrt
 
 from . import lattice as lat
 from .betti import (
@@ -39,13 +40,20 @@ EXIT_INPUT = 1
 EXIT_MISMATCH = 2
 
 
+# the largest characteristic Singular accepts for a prime field
+MAX_CHARACTERISTIC = 2147483647
+
+
 def _parse_field(text, nvars):
     """The characteristic --field names: 0 for qq, P for fp:P."""
     if text == "qq":
         return 0
     if text.startswith("fp:"):
         p = int(text[3:])
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p > MAX_CHARACTERISTIC:
+            raise ValueError(f"prime must be at most {MAX_CHARACTERISTIC}, "
+                             "the largest characteristic Singular accepts")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         if p <= nvars:
             raise ValueError(

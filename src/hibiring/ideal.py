@@ -20,9 +20,14 @@ need no computation.
 
 from typing import NamedTuple
 
-from . import polynomials as pa
 from .errors import NotGroebner
-from .polynomials import DivisorIndex, Polynomial, RevLex, s_polynomial
+from .polynomials import (
+    DivisorIndex,
+    Polynomial,
+    RevLex,
+    normal_form,
+    s_polynomial,
+)
 
 
 class DiamondRelation(NamedTuple):
@@ -116,11 +121,10 @@ def buchberger_check(ideal):
     checked remainders all zero the generators are a Groebner basis (see the
     module docstring).  The leads are read from the polynomials themselves, so
     a relation whose lead was changed is paired by its actual lead, and
-    reduced against the actual leads: every reduction uses one DivisorIndex
-    of the generator list, built here, and keeps only the remainder (the
-    quotients are never built).  Each lead's support is a bitmask, so
-    the coprime test is one AND per pair.  Raises NotGroebner naming the first
-    checked pair that leaves a remainder.
+    reduced against the actual leads: every reduction is a normal_form
+    against one DivisorIndex of the generator list, built here.  Each lead's
+    support is a bitmask, so the coprime test is one AND per pair.  Raises
+    NotGroebner naming the first checked pair that leaves a remainder.
     """
     polys = ideal.polys
     order = ideal.order
@@ -135,30 +139,11 @@ def buchberger_check(ideal):
                 continue
             s = s_polynomial(polys[i], polys[j], order)
             max_terms = max(max_terms, len(s.coeffs))
-            r = pa.normal_form(s, index, order)
+            r = normal_form(s, index)
             checked += 1
             if not r.is_zero():
                 raise NotGroebner((ideal.relations[i].pair, ideal.relations[j].pair))
     return CertificateReport(checked, skipped, max_terms)
-
-
-def normal_form(f, ideal):
-    """The unique standard-monomial representative of f modulo the ideal."""
-    return pa.normal_form(f, ideal.polys, ideal.order)
-
-
-def reducedness_holds(ideal):
-    """No tail monomial of any generator is divisible by another generator's
-    leading monomial."""
-    leads = [r.poly.leading_monomial(ideal.order) for r in ideal.relations]
-    for r in ideal.relations:
-        lead = r.poly.leading_monomial(ideal.order)
-        for m in r.poly.coeffs:
-            if m == lead:
-                continue
-            if any(pa.mono_div(m, lm) is not None for lm in leads):
-                return False
-    return True
 
 
 # -- exporters -------------------------------------------------------------

@@ -28,7 +28,7 @@ class Lattice:
 
     __slots__ = ("n", "labels", "join", "meet", "covers", "height",
                  "parent_map", "_up", "_down", "_diamonds",
-                 "_comparable_pairs", "_jm_set")
+                 "_comparable_pairs", "_jm_set", "_planar")
 
     def __init__(self, labels, up):
         """up[a] is the bit mask of the b with a <= b.  The relation must be
@@ -42,6 +42,7 @@ class Lattice:
         self._diamonds = None
         self._comparable_pairs = None
         self._jm_set = None
+        self._planar = None
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -216,16 +217,15 @@ class Lattice:
         return sorted(range(self.n), key=lambda a: (self.height[a], a))
 
     def is_planar(self):
-        """True iff the poset of join-irreducibles has no 3-element antichain."""
-        ji = sorted(self.join_irreducibles())
-        for i, a in enumerate(ji):
-            for b in ji[i + 1:]:
-                if not self.incomparable(a, b):
-                    continue
-                for c in ji:
-                    if c > b and self.incomparable(a, c) and self.incomparable(b, c):
-                        return False
-        return True
+        """True iff the poset of join-irreducibles has no 3-element antichain,
+        decided on the first call."""
+        if self._planar is None:
+            ji = sorted(self.join_irreducibles())
+            self._planar = not any(
+                self.incomparable(a, c) and self.incomparable(b, c)
+                for i, a in enumerate(ji) for b in ji[i + 1:]
+                if self.incomparable(a, b) for c in ji if c > b)
+        return self._planar
 
     def to_json_dict(self):
         return {"elements": list(self.labels), "covers": [list(c) for c in self.covers]}

@@ -166,11 +166,6 @@ class RowSpan:
         return False
 
 
-def row_rank(rows):
-    """Rank of integer sparse rows."""
-    return RowSpan(rows).rank
-
-
 # -- fibers --------------------------------------------------------------------
 
 

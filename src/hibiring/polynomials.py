@@ -270,53 +270,21 @@ class DivisorIndex:
         return best
 
 
-def divide(f, divisors, order):
-    """Multivariate division: f = sum q_i * divisors_i + r.
-
-    Returns (quotients, remainder) with no remainder monomial divisible by any
-    divisor's leading monomial.  Deterministic: at each step the first divisor
-    in the list whose leading monomial divides the current leading monomial is
-    used.
-
-    divisors is a list of polynomials or a DivisorIndex built for this order;
-    a list is indexed on the call.  A caller dividing many polynomials by one
-    list builds its DivisorIndex once and passes it to each call.  The smallest
-    dividing index over the index's buckets is the first divisor in the list,
-    so both forms divide alike.
-
-    Each quotient is a polynomial built once at the end; the quotients of
-    unused divisors share one zero.
-    """
-    index, terms, remainder = _reduce(f, divisors, order)
-    unused = Polynomial.zero()
-    quotients = [Polynomial._nonzero(terms[i]) if i in terms else unused
-                 for i in range(len(index.leads))]
-    return quotients, remainder
-
-
-def normal_form(f, divisors, order):
-    """The remainder of divide(f, divisors, order), with no quotient built."""
-    return _reduce(f, divisors, order)[2]
-
-
-def _reduce(f, divisors, order):
-    """The reduction loop of divide: (index, quotient terms, remainder), the
-    terms as {divisor index: {monomial: coefficient}} over used divisors only.
+def normal_form(f, index):
+    """The remainder of dividing f by the divisors of a DivisorIndex, under
+    the order it was built for: no remainder monomial is divisible by any
+    divisor's leading monomial.  Deterministic: at each step the first
+    divisor in the list whose leading monomial divides the current leading
+    monomial is used (DivisorIndex.first_divisor); no quotient is built.
 
     The dividend is reduced in place as one coefficient dict: a step pops its
     leading term and subtracts q times the divisor's tail, since the lead
     cancels exactly in exact arithmetic.  A coefficient that cancels is
-    deleted, so the work dict, and the terms and remainder drawn from it,
-    hold no zero.
+    deleted, so the work dict, and the remainder drawn from it, hold no zero.
     """
-    index = (divisors if isinstance(divisors, DivisorIndex)
-             else DivisorIndex(divisors, order))
-    if index.order != order:
-        raise HibiError("the divisor index was built for another order")
     leads = index.leads
     polys = index.divisors
-    key = order.key
-    terms = {}
+    key = index.order.key
     remainder = {}
     work = dict(f.coeffs)
     while work:
@@ -329,8 +297,6 @@ def _reduce(f, divisors, order):
         lm, lc = leads[best]
         q = mono_div(m, lm)
         qc = _div(c, lc)
-        # the leading monomial falls at every step, so q is new to its quotient
-        terms.setdefault(best, {})[q] = qc
         for tm, tc in polys[best].coeffs.items():
             if tm != lm:
                 t = mono_mul(q, tm)
@@ -339,7 +305,7 @@ def _reduce(f, divisors, order):
                     work[t] = v
                 else:
                     del work[t]
-    return index, terms, Polynomial._nonzero(remainder)
+    return Polynomial._nonzero(remainder)
 
 
 def s_polynomial(f, g, order):

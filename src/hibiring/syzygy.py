@@ -2,23 +2,19 @@
 
 A syzygy is an integer row {(mu, i): c} over the columns mu * e_i, mu a
 sorted tuple of variables (the row format of oracle); apply_phi substitutes
-each e_i by its binomial and sums in integers.  Module orders are sort keys on
-columns: position_key (position over term) and schreyer_key (the order the
-generators' leading monomials induce).  s_vector and divide_row work on rows
-under either key, and schreyer_pair reads a row off the reduction of an
-S-polynomial to zero.
+each e_i by its binomial and sums in integers.
 
-Besides the Schreyer S-pair generators, this module constructs the named typed
-generators attached to pairs of diamonds: strip (S1/S2), L, box (B1/B2), the
-G family (G1..G6, G) for pairs of diamonds sharing an element, and the Koszul
-diamond type D for element-disjoint pairs.  classify_pair decides which family
-a pair of diamonds falls into from its relation profile.
+This module constructs the named typed generators attached to pairs of
+diamonds: strip (S1/S2), L, box (B1/B2), the G family (G1..G6, G) for pairs
+of diamonds sharing an element, and the Koszul diamond type D for
+element-disjoint pairs.  classify_full decides which family a pair of
+diamonds falls into from its relation profile, and iter_typed_generators
+builds every family's generators in one pass.
 """
 
 from typing import NamedTuple
 
 from .errors import ConditionViolated, HibiError, InconsistentProfile, NotASyzygy
-from .polynomials import divide, mono_div, mono_lcm, mono_mul, s_polynomial
 
 
 def apply_phi(row, ideal):
@@ -56,104 +52,6 @@ def _decode(code, base):
         mono += [v] * e
         v += 1
     return tuple(mono)
-
-
-# -- module orders and division on rows -----------------------------------------
-
-
-def position_key(ideal):
-    """Position-over-term sort key of a column (mu, i): later basis vectors
-    first, ties broken by the ring order on mu.  Under it both strip
-    generators of a shared diamond lead on their common third component."""
-    key = ideal.order.key
-    return lambda col: (col[1], key(col[0]))
-
-
-def schreyer_key(ideal):
-    """Schreyer sort key of a column (mu, i): mu * in(f_i) in the ring order,
-    ties broken by preferring the smaller generator index."""
-    order = ideal.order
-    leads = [r.poly.leading_monomial(order) for r in ideal.relations]
-    return lambda col: (order.key(mono_mul(col[0], leads[col[1]])), -col[1])
-
-
-def _add_shifted(row, other, nu, c):
-    """row + c * nu * other, zeros dropped."""
-    out = dict(row)
-    for (mu, i), v in other.items():
-        k = (mono_mul(mu, nu), i)
-        out[k] = out.get(k, 0) + c * v
-    return {k: v for k, v in out.items() if v}
-
-
-def s_vector(u, v, key):
-    """(lcm/lt(u)) u - (lcm/lt(v)) v for rows whose leading columns under the
-    sort key lie on one basis vector and lead with 1 or -1."""
-    (mu, i), (nu, j) = max(u, key=key), max(v, key=key)
-    cu, cv = u[mu, i], v[nu, j]
-    if i != j:
-        raise HibiError("leading terms lie on different basis vectors")
-    if {abs(cu), abs(cv)} != {1}:
-        raise HibiError("leading coefficients must be 1 or -1")
-    lcm = mono_lcm(mu, nu)
-    return _add_shifted(_add_shifted({}, u, mono_div(lcm, mu), cu),
-                        v, mono_div(lcm, nu), -cv)
-
-
-def divide_row(row, divisors, key):
-    """(quotients, remainder) with row = remainder + sum of quotients[k] *
-    divisors[k], each quotient a polynomial {nu: c} over sorted variable
-    tuples, and no remainder column divisible by a divisor's leading column
-    (same basis vector, dividing monomial).  The first such divisor is used;
-    its leading coefficient must divide the current one exactly."""
-    leads = [(max(d, key=key), d) for d in divisors]
-    quotients = [{} for _ in divisors]
-    remainder = {}
-    work = {k: c for k, c in row.items() if c}
-    while work:
-        mu, i = col = max(work, key=key)
-        for k, ((lm, li), d) in enumerate(leads):
-            nu = mono_div(mu, lm) if li == i else None
-            if nu is not None:
-                q, r = divmod(work[col], d[lm, li])
-                if r:
-                    raise HibiError(f"{d[lm, li]} does not divide {work[col]}")
-                quotients[k][nu] = quotients[k].get(nu, 0) + q
-                work = _add_shifted(work, d, nu, -q)
-                break
-        else:
-            remainder[col] = work.pop(col)
-    return [{nu: c for nu, c in q.items() if c} for q in quotients], remainder
-
-
-# -- Schreyer pairs -----------------------------------------------------------
-
-
-def schreyer_pair(i, j, ideal):
-    """The syzygy read off from reducing S(f_i, f_j) to zero, as a row.
-
-    (lcm/in f_i) e_i - (lcm/in f_j) e_j - sum q_k e_k, where the q_k are the
-    division quotients of the S-polynomial against the full generator list.
-    Every relation leads with coefficient 1, so each quotient coefficient is
-    a whole number; one that is not raises HibiError.
-    """
-    polys, order = ideal.polys, ideal.order
-    mi = polys[i].leading_monomial(order)
-    mj = polys[j].leading_monomial(order)
-    lcm = mono_lcm(mi, mj)
-    quotients, r = divide(s_polynomial(polys[i], polys[j], order), polys, order)
-    if not r.is_zero():
-        raise HibiError("S-polynomial did not reduce to zero")
-    row = {(mono_div(lcm, mi), i): 1, (mono_div(lcm, mj), j): -1}
-    for k, q in enumerate(quotients):
-        for m, c in q.coeffs.items():
-            whole = int(c)
-            if whole != c:
-                raise HibiError(f"quotient coefficient {c} of S({i}, {j}) "
-                                "is not a whole number")
-            col = (m, k)
-            row[col] = row.get(col, 0) - whole
-    return {col: c for col, c in row.items() if c}
 
 
 # -- pair classification -------------------------------------------------------
@@ -221,10 +119,6 @@ def classify_full(L, p1, p2):
     if meets_equal:
         return "strip", (a, b1, b2)
     return "L", (a, b1, b2)
-
-
-def classify_pair(L, p1, p2):
-    return classify_full(L, p1, p2)[0]
 
 
 # -- typed generators -----------------------------------------------------------
@@ -377,11 +271,6 @@ def _family_generators(ideal, family, witness):
     return [t for t in gens if t.row]
 
 
-def typed_generators_for_pair(ideal, p1, p2):
-    """All typed generators attached to a pair of diamonds, classified."""
-    return _family_generators(ideal, *classify_full(ideal.lattice, p1, p2))
-
-
 def iter_typed_generators(ideal):
     """The typed generators of every pair of diamonds, classified and built
     in one pass over the pairs in relation order, each phi-checked where it
@@ -403,12 +292,6 @@ def iter_typed_generators(ideal):
                     continue
                 seen.add(fw)
             yield from _family_generators(ideal, family, witness)
-
-
-def all_typed_generators(ideal):
-    """list(iter_typed_generators(ideal)): every typed generator, held at
-    once."""
-    return list(iter_typed_generators(ideal))
 
 
 # -- diamond reducibility -----------------------------------------------------

@@ -1,10 +1,19 @@
 """Shared fixture lattices used across the test suites."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hibiring import enumerate_distributive, from_covers, from_points
+from hibiring.errors import HibiError
+from hibiring.polynomials import (
+    Polynomial,
+    mono_div,
+    mono_lcm,
+    mono_mul,
+    s_polynomial,
+)
 
 
 def chain(k):
@@ -38,6 +47,119 @@ def combine(*terms):
 def signs(r):
     """A row and its negative."""
     return r, {col: -c for col, c in r.items()}
+
+
+# -- division by scan, module orders, and Schreyer pairs ------------------------
+#
+# Reference constructions the package does not run: the non-Groebner remark
+# and the Schreyer-pair tests read them.
+
+
+def divide_by_scan(f, divisors, order):
+    """Reference division in Fraction arithmetic: (quotients, remainder),
+    scanning the whole divisor list at every step for the first divisor
+    whose lead divides the current leading monomial, and subtracting whole
+    polynomials."""
+    quotients = [Polynomial.zero() for _ in divisors]
+    remainder = Polynomial.zero()
+    work = f
+    while not work.is_zero():
+        m, c = work.leading_term(order)
+        for i, g in enumerate(divisors):
+            lm, lc = g.leading_term(order)
+            q = mono_div(m, lm)
+            if q is not None:
+                t = Polynomial.term(q, Fraction(c) / lc)
+                quotients[i] = quotients[i] + t
+                work = work - t * g
+                break
+        else:
+            remainder = remainder + Polynomial.term(m, c)
+            work = work - Polynomial.term(m, c)
+    return quotients, remainder
+
+
+def position_key(ideal):
+    """Position-over-term sort key of a column (mu, i): later basis vectors
+    first, ties broken by the ring order on mu.  Under it both strip
+    generators of a shared diamond lead on their common third component."""
+    key = ideal.order.key
+    return lambda col: (col[1], key(col[0]))
+
+
+def schreyer_key(ideal):
+    """Schreyer sort key of a column (mu, i): mu * in(f_i) in the ring order,
+    ties broken by preferring the smaller generator index."""
+    order = ideal.order
+    leads = [r.poly.leading_monomial(order) for r in ideal.relations]
+    return lambda col: (order.key(mono_mul(col[0], leads[col[1]])), -col[1])
+
+
+def s_vector(u, v, key):
+    """(lcm/lt(u)) u - (lcm/lt(v)) v for rows whose leading columns under the
+    sort key lie on one basis vector and lead with 1 or -1."""
+    (mu, i), (nu, j) = max(u, key=key), max(v, key=key)
+    cu, cv = u[mu, i], v[nu, j]
+    if i != j:
+        raise HibiError("leading terms lie on different basis vectors")
+    if {abs(cu), abs(cv)} != {1}:
+        raise HibiError("leading coefficients must be 1 or -1")
+    lcm = mono_lcm(mu, nu)
+    return combine((u, mono_div(lcm, mu), cu), (v, mono_div(lcm, nu), -cv))
+
+
+def divide_row(row, divisors, key):
+    """(quotients, remainder) with row = remainder + sum of quotients[k] *
+    divisors[k], each quotient a polynomial {nu: c} over sorted variable
+    tuples, and no remainder column divisible by a divisor's leading column
+    (same basis vector, dividing monomial).  The first such divisor is used;
+    its leading coefficient must divide the current one exactly."""
+    leads = [(max(d, key=key), d) for d in divisors]
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    work = {k: c for k, c in row.items() if c}
+    while work:
+        mu, i = col = max(work, key=key)
+        for k, ((lm, li), d) in enumerate(leads):
+            nu = mono_div(mu, lm) if li == i else None
+            if nu is not None:
+                q, r = divmod(work[col], d[lm, li])
+                if r:
+                    raise HibiError(f"{d[lm, li]} does not divide {work[col]}")
+                quotients[k][nu] = quotients[k].get(nu, 0) + q
+                work = combine((work, (), 1), (d, nu, -q))
+                break
+        else:
+            remainder[col] = work.pop(col)
+    return [{nu: c for nu, c in q.items() if c} for q in quotients], remainder
+
+
+def schreyer_pair(i, j, ideal):
+    """The syzygy read off from reducing S(f_i, f_j) to zero, as a row.
+
+    (lcm/in f_i) e_i - (lcm/in f_j) e_j - sum q_k e_k, where the q_k are the
+    quotients of divide_by_scan of the S-polynomial by the full generator
+    list.  Every relation leads with coefficient 1, so each quotient
+    coefficient is a whole number; one that is not raises HibiError.
+    """
+    polys, order = ideal.polys, ideal.order
+    mi = polys[i].leading_monomial(order)
+    mj = polys[j].leading_monomial(order)
+    lcm = mono_lcm(mi, mj)
+    quotients, r = divide_by_scan(s_polynomial(polys[i], polys[j], order),
+                                  polys, order)
+    if not r.is_zero():
+        raise HibiError("S-polynomial did not reduce to zero")
+    row = {(mono_div(lcm, mi), i): 1, (mono_div(lcm, mj), j): -1}
+    for k, q in enumerate(quotients):
+        for m, c in q.coeffs.items():
+            whole = int(c)
+            if whole != c:
+                raise HibiError(f"quotient coefficient {c} of S({i}, {j}) "
+                                "is not a whole number")
+            col = (m, k)
+            row[col] = row.get(col, 0) - whole
+    return {col: c for col, c in row.items() if c}
 
 
 # The five degree-3 syzygies of bridged_diamonds whose combination with the

@@ -2,7 +2,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from hibiring.cli import build_parser, main
 from hibiring.polynomials import Polynomial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -193,6 +197,29 @@ def test_ideal_field_rejected(capsys, field, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_ideal_field_at_singular_limit(capsys):
+    code, out, _ = run(capsys, "ideal", "--grid", "1", "1", "--export", "m2",
+                       "--field", "fp:2147483647")
+    assert code == 0
+    assert out.startswith("R = ZZ/2147483647[x_1..x_4];")
+
+
+@pytest.mark.parametrize("p", [10**400 + 1, 1000000000000000003],
+                         ids=["401_digits", "19_digits"])
+def test_ideal_field_above_singular_limit(p):
+    """A characteristic above 2147483647, the largest Singular accepts,
+    exits 1 at once with a message naming the limit and no traceback: no
+    square root is taken of it and no trial division runs."""
+    argv = [sys.executable, "-m", "hibiring.cli", "ideal", "--grid", "1", "1",
+            "--export", "m2", "--field", f"fp:{p}"]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: prime must be at most 2147483647, the "
+                           "largest characteristic Singular accepts\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_syzygy_histogram(capsys):
     code, out, _ = run(capsys, "syzygy", "--grid", "2", "3", "--verify")
     assert code == 0
@@ -230,7 +257,7 @@ def test_syzygy_classify_listing(capsys):
 def _syzygy_report(L, verified):
     """The syzygy JSON report built with one dict per typed generator."""
     I = ideal.hibi_ideal(L)
-    gens = syzygy.all_typed_generators(I)
+    gens = list(syzygy.iter_typed_generators(I))
     hist = betti.typed_minimal_histogram(I, gens)
     listing = [{"kind": t.kind, "witness": [L.labels[v] for v in t.witness]}
                for t in gens]

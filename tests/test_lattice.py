@@ -219,6 +219,21 @@ def test_is_planar():
     assert not cube.is_planar()
 
 
+def test_is_planar_decided_once(count_calls):
+    """Planarity is decided on the first is_planar call of a lattice and read
+    back after: the census asks twice per planar lattice (cmd_census, then
+    n_diamond_planar), and each join-irreducible scan is one decision."""
+    cube = from_covers(
+        list("abcdefgh"),
+        [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (3, 6),
+         (4, 7), (5, 7), (6, 7)])
+    lattices = [grid(3, 3), cube]
+    scans = count_calls(Lattice, "join_irreducibles")
+    answers = [[L.is_planar() for _ in range(3)] for L in lattices]
+    assert answers == [[True] * 3, [False] * 3]
+    assert len(scans) == 2
+
+
 def test_json_round_trip():
     g = grid(2, 2)
     d = json.loads(json.dumps(g.to_json_dict()))

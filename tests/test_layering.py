@@ -1,13 +1,16 @@
 """The package's import layering: intra-package imports run one way, from
 errors and polynomials up through lattice, ideal, syzygy and oracle, betti
 to cli, and no module imports another module's private names.  Importing
-the command line stays lean: it loads neither dataclasses nor inspect."""
+the command line stays lean: it loads neither dataclasses nor inspect.  The
+public names are pinned, so an API change shows as an edit here."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import hibiring
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hibiring"
 
@@ -81,3 +84,32 @@ def test_cli_import_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_public_names():
+    assert hibiring.__all__ == [
+        "HibiIdeal",
+        "Lattice",
+        "LinearityVerdict",
+        "PlanarBettiBreakdown",
+        "TypedSyzygy",
+        "apply_phi",
+        "buchberger_check",
+        "enumerate_distributive",
+        "errors",
+        "first_betti_oracle",
+        "from_covers",
+        "from_json_dict",
+        "from_points",
+        "graded_betti_oracle",
+        "grid",
+        "hibi_ideal",
+        "is_linear_first_syzygy",
+        "iter_typed_generators",
+        "k_of",
+        "planar_betti",
+        "planar_linearity",
+        "typed_generator",
+        "typed_minimal_histogram",
+    ]
+    assert all(hasattr(hibiring, name) for name in hibiring.__all__)

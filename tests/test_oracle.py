@@ -9,6 +9,7 @@ from hibiring import enumerate_distributive, grid, oracle
 from hibiring.ideal import hibi_ideal
 from hibiring.oracle import (
     GradedBettiRow,
+    RowSpan,
     face_shape,
     fiber_codes,
     fiber_kernels,
@@ -19,7 +20,6 @@ from hibiring.oracle import (
     kernel_dim,
     multichains,
     reduced_h1,
-    row_rank,
     shape_faces,
     shape_h1,
     standard_monomial,
@@ -95,7 +95,7 @@ def test_kernel_dim_euler_formula(stacked_diamonds):
             for combo in combinations_with_replacement(range(L.n), d - 2):
                 columns += [{mono_mul(combo, lead): 1, mono_mul(combo, tail): -1}
                             for lead, tail in binomials]
-            assert kernel_dim(I, d) == len(columns) - row_rank(columns)
+            assert kernel_dim(I, d) == len(columns) - RowSpan(columns).rank
 
 
 def test_fiber_kernels_sum_to_kernel_dim(stacked_diamonds):
@@ -168,15 +168,15 @@ def _reference_h1(faces):
     """dim H~_1 over the rationals by exact rank of both boundary maps:
     #edges - rank d1 - rank d2, every triangle ranked."""
     d1, d2 = _boundary_rows(faces)
-    return len(d1) - row_rank(d1) - row_rank(d2)
+    return len(d1) - RowSpan(d1).rank - RowSpan(d2).rank
 
 
 def test_rp2_falls_back_to_exact_rank(count_calls):
     """2-torsion: the mod-2 bound stops short of the cycle count, so the
     exact elimination runs and finds H~_1 = 0 over the rationals."""
     d1, d2 = _boundary_rows(RP2)
-    assert len(d1) - row_rank(d1) == 10
-    assert _rank_mod2(d2) == 9 and row_rank(d2) == 10
+    assert len(d1) - RowSpan(d1).rank == 10
+    assert _rank_mod2(d2) == 9 and RowSpan(d2).rank == 10
     exact = count_calls(oracle, "RowSpan")
     assert reduced_h1(RP2) == 0
     assert len(exact) == 1
@@ -424,9 +424,9 @@ def test_degree_three_fibers_carry_their_kernel():
 
 
 def test_row_rank_simple():
-    assert row_rank([]) == 0
-    assert row_rank([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 1}]) == 2
-    assert row_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
+    assert RowSpan([]).rank == 0
+    assert RowSpan([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 1}]).rank == 2
+    assert RowSpan([{0: 1}, {1: 1}, {0: 1, 1: 1}]).rank == 2
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
@@ -446,7 +446,7 @@ def test_row_rank_matches_dense_elimination(matrix):
                 f = dense[i][c] / dense[rank][c]
                 dense[i] = [a - f * b for a, b in zip(dense[i], dense[rank])]
         rank += 1
-    assert row_rank(rows) == rank
+    assert RowSpan(rows).rank == rank
 
 
 def test_census_trivial_dim_never_exceeds_kernel():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import divide_by_scan
 from hibiring import grid, polynomials
 from hibiring.errors import HibiError, ZeroInput
 from hibiring.ideal import buchberger_check, hibi_ideal
@@ -12,7 +13,6 @@ from hibiring.polynomials import (
     Polynomial,
     RevLex,
     _div,
-    divide,
     mono_div,
     mono_lcm,
     mono_mul,
@@ -195,43 +195,24 @@ def test_ring_axioms(f, g, h):
 
 # -- division --------------------------------------------------------------
 
-def test_divide_identity():
-    f = P({(0, 0): 1, (1, 2): 3})
-    gs = [P({(0,): 1}), P({(1,): 1})]
-    qs, r = divide(f, gs, ORDER)
-    assert r.is_zero()
-    assert sum((q * g for q, g in zip(qs, gs)), Polynomial.zero()) == f
-
-
 def test_divide_remainder_irreducible():
     f = P({(0, 1): 1, (3,): 1})
     g = P({(0,): 1, (2,): -1})  # lead x1
-    qs, r = divide(f, [g], ORDER)
-    assert sum((q * h for q, h in zip(qs, [g])), Polynomial.zero()) + r == f
+    r = normal_form(f, DivisorIndex([g], ORDER))
+    # x1*x2 reduces to x2*x3; x4 stays
+    assert r == P({(1, 2): 1, (3,): 1})
     lm = g.leading_monomial(ORDER)
     assert all(mono_div(m, lm) is None for m in r.coeffs)
-
-
-@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
-                         min_size=1, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_divide_exactness(f, gs):
-    qs, r = divide(f, gs, ORDER)
-    total = sum((q * g for q, g in zip(qs, gs)), Polynomial.zero()) + r
-    assert total == f
-    leads = [g.leading_monomial(ORDER) for g in gs]
-    for m in r.coeffs:
-        assert all(mono_div(m, lm) is None for lm in leads)
 
 
 @given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
                          min_size=1, max_size=3), monos(3), rationals())
 @settings(max_examples=60, deadline=None)
 def test_built_polynomials_hold_no_zero(f, gs, mono, coeff):
-    """mul_term and divide's quotients and remainder keep the dicts they
-    build, unfiltered; none holds a zero coefficient."""
-    qs, r = divide(f, gs, ORDER)
-    for p in qs + [r, f.mul_term(mono, coeff)]:
+    """mul_term and normal_form keep the dicts they build, unfiltered; none
+    holds a zero coefficient."""
+    r = normal_form(f, DivisorIndex(gs, ORDER))
+    for p in [r, f.mul_term(mono, coeff)]:
         assert all(p.coeffs.values())
     assert f.mul_term(mono, 0).is_zero()
 
@@ -239,62 +220,26 @@ def test_built_polynomials_hold_no_zero(f, gs, mono, coeff):
 def test_divide_first_divisor_wins():
     # both leads divide x1*x2; they sit under different variables of the index
     x1, x2 = P({(0,): 1}), P({(1,): 1})
-    f = x1 * x2
-    assert divide(f, [x1, x2], ORDER)[0] == [x2, P({})]
-    assert divide(f, [x2, x1], ORDER)[0] == [x1, P({})]
-
-
-def _divide_by_scan(f, divisors, order):
-    """Reference division in Fraction arithmetic: scan the whole divisor list
-    at every step and subtract whole polynomials."""
-    quotients = [Polynomial.zero() for _ in divisors]
-    remainder = Polynomial.zero()
-    work = f
-    while not work.is_zero():
-        m, c = work.leading_term(order)
-        for i, g in enumerate(divisors):
-            lm, lc = g.leading_term(order)
-            q = mono_div(m, lm)
-            if q is not None:
-                t = Polynomial.term(q, Fraction(c) / lc)
-                quotients[i] = quotients[i] + t
-                work = work - t * g
-                break
-        else:
-            remainder = remainder + Polynomial.term(m, c)
-            work = work - Polynomial.term(m, c)
-    return quotients, remainder
-
-
-@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
-                         min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_divide_matches_full_scan(f, gs):
-    assert divide(f, gs, ORDER) == _divide_by_scan(f, gs, ORDER)
-
-
-@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
-                         min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_divide_by_index_matches_list(f, gs):
-    expected = _divide_by_scan(f, gs, ORDER)
-    assert divide(f, DivisorIndex(gs, ORDER), ORDER) == expected
-    assert divide(f, gs, ORDER) == expected
+    m = (0, 1)
+    assert DivisorIndex([x1, x2], ORDER).first_divisor(m) == 0
+    assert DivisorIndex([x2, x1], ORDER).first_divisor(m) == 0
+    # the smallest dividing index wins, whichever bucket it sits in
+    x3 = P({(2,): 1})
+    assert DivisorIndex([x3, x2, x1], ORDER).first_divisor(m) == 1
+    assert DivisorIndex([x3], ORDER).first_divisor(m) == 1  # none divides
 
 
 @given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
                          min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_normal_form_is_the_division_remainder(f, gs):
-    remainder = _divide_by_scan(f, gs, ORDER)[1]
-    assert normal_form(f, gs, ORDER) == remainder
-    assert normal_form(f, DivisorIndex(gs, ORDER), ORDER) == remainder
-
-
-def test_divide_rejects_index_of_other_order():
-    index = DivisorIndex([P({(0,): 1})], RevLex(NV, rank=[3, 2, 1, 0]))
-    with pytest.raises(HibiError):
-        divide(P({(0, 1): 1}), index, ORDER)
+    """normal_form equals the remainder of the full-scan reference division,
+    and no monomial of it is divisible by a divisor's lead."""
+    remainder = normal_form(f, DivisorIndex(gs, ORDER))
+    assert remainder == divide_by_scan(f, gs, ORDER)[1]
+    leads = [g.leading_monomial(ORDER) for g in gs]
+    for m in remainder.coeffs:
+        assert all(mono_div(m, lm) is None for lm in leads)
 
 
 def test_buchberger_builds_one_index(monkeypatch):
@@ -314,13 +259,11 @@ def test_buchberger_builds_one_index(monkeypatch):
 
 def test_buchberger_builds_no_quotients(count_calls):
     """The certificate keeps only remainders: its 900 reductions of grid 4x4
-    are normal forms, and divide, which builds one quotient per divisor, is
-    not called."""
-    divides = count_calls(polynomials, "divide")
+    are normal forms, which build no quotient."""
     forms = count_calls(polynomials, "normal_form")
     report = buchberger_check(hibi_ideal(grid(4, 4)))
     assert (report.pairs_checked, report.pairs_skipped) == (900, 4050)
-    assert (len(divides), len(forms)) == (0, 900)
+    assert len(forms) == 900
 
 
 def test_certificate_builds_no_fraction(monkeypatch):
@@ -343,7 +286,7 @@ def test_certificate_builds_no_fraction(monkeypatch):
 def test_normal_form():
     g = P({(0,): 1})
     f = P({(0, 1): 1, (2,): 2})
-    assert normal_form(f, [g], ORDER) == P({(2,): 2})
+    assert normal_form(f, DivisorIndex([g], ORDER)) == P({(2,): 2})
 
 
 # -- S-polynomials ---------------------------------------------------------
