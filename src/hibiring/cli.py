@@ -48,8 +48,9 @@ def _parse_field(text, nvars):
     """The characteristic --field names: 0 for qq, P for fp:P."""
     if text == "qq":
         return 0
-    if text.startswith("fp:"):
-        p = int(text[3:])
+    digits = text[3:]
+    if text.startswith("fp:") and digits.isascii() and digits.isdigit():
+        p = int(digits)
         if p > MAX_CHARACTERISTIC:
             raise ValueError(f"prime must be at most {MAX_CHARACTERISTIC}, "
                              "the largest characteristic Singular accepts")
@@ -123,7 +124,7 @@ def cmd_ideal(args):
         print(json.dumps(to_json_dict(ideal, p), indent=2, sort_keys=True))
         return EXIT_OK
     report = {"generators": [
-        {"pair": [L.labels[v] for v in r.pair], "text": ideal.render(r.poly)}
+        {"pair": [L.labels[v] for v in r.pair], "text": ideal.render(r)}
         for r in ideal.relations]}
     lines = [f"{len(ideal)} generators"]
     lines += [f"  g({g['pair'][0]},{g['pair'][1]}) = {g['text']}"

@@ -29,10 +29,6 @@ class CapExceeded(HibiError):
     pass
 
 
-class ZeroInput(HibiError):
-    pass
-
-
 class NotGroebner(HibiError):
     """An S-polynomial failed to reduce to zero; carries the witness pair.
 

@@ -1,12 +1,13 @@
 """The lattice binomial ideal of a finite distributive lattice.
 
 Each incomparable pair (a, b) contributes the diamond relation
-x_a x_b - x_{a|b} x_{a&b}.  Under the degree-reverse-lexicographic order whose
-variable ranking follows a linear extension of the lattice (bottom ranked
-highest), these relations are a reduced Groebner basis of the ideal, and the
-leading monomial of each is its incomparable product x_a x_b.  The relations
-have unit coefficients and unit leads, so Buchberger's reductions never divide
-and the certificate holds over every field; only the exporters name one.
+x_a x_b - x_{a|b} x_{a&b}, stored as its two monomials.  Under the
+degree-reverse-lexicographic order whose variable ranking follows a linear
+extension of the lattice (bottom ranked highest), these relations are a
+reduced Groebner basis of the ideal, and the leading monomial of each is its
+incomparable product x_a x_b.  The relations have unit coefficients, so the
+certificate never divides and holds over every field; only the exporters name
+one.
 
 `buchberger_check` certifies that claim with Buchberger's criterion refined
 by his first criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
@@ -16,25 +17,31 @@ S-polynomial of two of its elements has a standard representation over G
 always has one (Prop. 4).  So only pairs whose leads share a variable are
 reduced; a zero remainder is a standard representation, and the coprime pairs
 need no computation.
+
+The reduction rewrites monomials (Eisenbud-Sturmfels, Binomial ideals, Duke
+Math. J. 84, 1996).  Write each relation as lead - tail, its lead the larger
+of its two monomials.  The S-polynomial of relations i and j is v - u, with
+u = (lcm/lead_i) tail_i and v = (lcm/lead_j) tail_j.  A division step on a
+polynomial c m - c m' whose leading monomial m is divisible by lead_k
+subtracts c (m/lead_k)(lead_k - tail_k): it leaves c (m/lead_k) tail_k - c m',
+again two terms with opposite coefficients, or zero when they are equal.  So
+every step of the division leaves such a pair, and its remainder is zero
+exactly when rewriting the larger of u and v, lead to tail, reaches u = v
+before the larger has no lead dividing it (`Rewriting.meets`).
 """
 
+from itertools import combinations, groupby
 from typing import NamedTuple
 
 from .errors import NotGroebner
-from .polynomials import (
-    DivisorIndex,
-    Polynomial,
-    RevLex,
-    normal_form,
-    s_polynomial,
-)
+from .polynomials import RevLex, mono_div, mono_lcm, mono_mul
 
 
 class DiamondRelation(NamedTuple):
-    """One generator: the incomparable pair, its binomial, and its position in
-    the canonical generator list."""
+    """One generator x_pair - x_jm: the incomparable pair, the sorted (meet,
+    join), and its position in the canonical generator list."""
     pair: tuple
-    poly: Polynomial
+    jm: tuple
     index: int
 
 
@@ -55,23 +62,15 @@ class HibiIdeal:
         meet, join = lattice.meet, lattice.join
         for k, (a, b) in enumerate(lattice.incomparable_pairs()):
             jm = tuple(sorted((meet[a][b], join[a][b])))
-            poly = Polynomial({(a, b): 1, jm: -1})
-            self.relations.append(DiamondRelation((a, b), poly, k))
+            self.relations.append(DiamondRelation((a, b), jm, k))
             self.index_of[(a, b)] = k
 
     def __len__(self):
         return len(self.relations)
 
-    def __iter__(self):
-        return iter(self.relations)
-
     def generator(self, a, b):
         """The relation for an incomparable pair, in either element order."""
         return self.relations[self.index_of[(a, b) if a < b else (b, a)]]
-
-    @property
-    def polys(self):
-        return [r.poly for r in self.relations]
 
     def term_codes(self, base):
         """(units, codes) for monomials written as one int, a base-`base`
@@ -82,7 +81,7 @@ class HibiIdeal:
         if cached is None:
             units = [base ** v for v in range(self.lattice.n)]
             codes = [tuple((sum(map(units.__getitem__, mono)), c)
-                           for mono, c in r.poly.coeffs.items())
+                           for mono, c in ((r.pair, 1), (r.jm, -1)))
                      for r in self.relations]
             cached = self._term_codes[base] = (units, codes)
         return cached
@@ -95,16 +94,81 @@ class HibiIdeal:
             return [f"x({v + 1})" for v in range(n)]
         return [f"x{v + 1}" for v in range(n)]
 
-    def render(self, poly, style="plain"):
-        return poly.render(self.variable_names(style), self.order)
+    def render(self, relation, style="plain"):
+        """The relation as text, its leading monomial first; a repeated
+        variable is written as a power."""
+        names = self.variable_names(style)
+
+        def text(m):
+            return "*".join(names[v] if e == 1 else f"{names[v]}^{e}"
+                            for v, e in ((v, len(list(run)))
+                                         for v, run in groupby(m)))
+        pair, jm = relation.pair, relation.jm
+        if self.order.max((pair, jm)) == pair:
+            return f"{text(pair)}-{text(jm)}"
+        return f"-{text(jm)}+{text(pair)}"
 
 
 def hibi_ideal(lattice):
     return HibiIdeal(lattice)
 
 
+class Rewriting:
+    """The relations of an ideal as rewriting rules lead -> tail on monomials.
+
+    Each lead is read from its relation as the larger of its two monomials
+    under the ideal's order, so a relation whose monomials were changed is
+    ruled by its actual lead.  A dividing lead is found by lookup, not by
+    scan: each lead is filed under the smallest index it occurs at, and a
+    monomial is probed with its sub-multisets of degree 2, the degree of
+    every relation's monomials.
+    """
+
+    __slots__ = ("key", "rules", "_first")
+
+    def __init__(self, ideal):
+        order = ideal.order
+        self.key = order.key
+        self.rules = []
+        self._first = {}
+        for r in ideal.relations:
+            lead = order.max((r.pair, r.jm))
+            self._first.setdefault(lead, len(self.rules))
+            self.rules.append((lead, r.jm if lead == r.pair else r.pair))
+
+    def divisor(self, m):
+        """The smallest rule index whose lead divides m, or None when no lead
+        does."""
+        first = self._first
+        return min((first[s] for s in combinations(m, 2) if s in first),
+                   default=None)
+
+    def step(self, m):
+        """m rewritten once by the first rule whose lead divides it, or None
+        when no lead divides m."""
+        i = self.divisor(m)
+        if i is None:
+            return None
+        lead, tail = self.rules[i]
+        return mono_mul(mono_div(m, lead), tail)
+
+    def meets(self, u, v):
+        """Whether u - v reduces to zero: the larger of the two is rewritten
+        until they are equal, or until no lead divides it."""
+        key = self.key
+        while u != v:
+            if key(u) < key(v):
+                u, v = v, u
+            u = self.step(u)
+            if u is None:
+                return False
+        return True
+
+
 class CertificateReport(NamedTuple):
-    """pairs_checked + pairs_skipped is the number of generator pairs."""
+    """pairs_checked + pairs_skipped is the number of generator pairs;
+    max_intermediate_terms is the most terms of a checked S-polynomial, 2 or
+    0."""
     pairs_checked: int
     pairs_skipped: int
     max_intermediate_terms: int
@@ -119,29 +183,30 @@ def buchberger_check(ideal):
     Pairs with coprime leading monomials are skipped: by Buchberger's first
     criterion their S-polynomials have a standard representation, so with the
     checked remainders all zero the generators are a Groebner basis (see the
-    module docstring).  The leads are read from the polynomials themselves, so
-    a relation whose lead was changed is paired by its actual lead, and
-    reduced against the actual leads: every reduction is a normal_form
-    against one DivisorIndex of the generator list, built here.  Each lead's
-    support is a bitmask, so the coprime test is one AND per pair.  Raises
-    NotGroebner naming the first checked pair that leaves a remainder.
+    module docstring).  The leads are read from the relations themselves
+    (`Rewriting`), so a relation whose lead was changed is paired by its
+    actual lead, and reduced against the actual leads.  Each lead's support is
+    a bitmask, so the coprime test is one AND per pair.  Raises NotGroebner
+    naming the first checked pair that leaves a remainder.
     """
-    polys = ideal.polys
-    order = ideal.order
-    index = DivisorIndex(polys, order)
-    supports = [sum(1 << v for v in set(lm)) for lm, _ in index.leads]
+    rewriting = Rewriting(ideal)
+    rules = rewriting.rules
+    supports = [sum(1 << v for v in set(lead)) for lead, _ in rules]
     checked = skipped = 0
     max_terms = 0
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
+    for i, (lead_i, tail_i) in enumerate(rules):
+        for j in range(i + 1, len(rules)):
             if not supports[i] & supports[j]:
                 skipped += 1
                 continue
-            s = s_polynomial(polys[i], polys[j], order)
-            max_terms = max(max_terms, len(s.coeffs))
-            r = normal_form(s, index)
+            lead_j, tail_j = rules[j]
+            lcm = mono_lcm(lead_i, lead_j)
+            u = mono_mul(mono_div(lcm, lead_i), tail_i)
+            v = mono_mul(mono_div(lcm, lead_j), tail_j)
+            if u != v:
+                max_terms = 2
             checked += 1
-            if not r.is_zero():
+            if not rewriting.meets(u, v):
                 raise NotGroebner((ideal.relations[i].pair, ideal.relations[j].pair))
     return CertificateReport(checked, skipped, max_terms)
 
@@ -158,7 +223,7 @@ def to_macaulay2(ideal, p=0):
     coeff = f"ZZ/{p}" if p else "QQ"
     lines = [f"R = {coeff}[x_1..x_{n}];"]
     if ideal.relations:
-        gens = ",\n  ".join(ideal.render(r.poly, "m2") for r in ideal.relations)
+        gens = ",\n  ".join(ideal.render(r, "m2") for r in ideal.relations)
         lines.append(f"I = ideal(\n  {gens}\n);")
     else:
         lines.append("I = ideal(0_R);")
@@ -170,7 +235,7 @@ def to_singular(ideal, p=0):
     n = ideal.lattice.n
     lines = [f"ring r = {p}, x(1..{n}), dp;"]
     if ideal.relations:
-        gens = ",\n  ".join(ideal.render(r.poly, "singular") for r in ideal.relations)
+        gens = ",\n  ".join(ideal.render(r, "singular") for r in ideal.relations)
         lines.append(f"ideal I =\n  {gens};")
     else:
         lines.append("ideal I = 0;")
@@ -184,7 +249,7 @@ def to_json_dict(ideal, p=0):
         "field": f"FP({p})" if p else "QQ",
         "generators": [
             {"pair": list(r.pair), "index": r.index,
-             "text": ideal.render(r.poly)}
+             "text": ideal.render(r)}
             for r in ideal.relations
         ],
     }

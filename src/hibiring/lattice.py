@@ -136,14 +136,6 @@ class Lattice:
         j = self.join[a][b]
         return j != a and j != b
 
-    @property
-    def bottom(self):
-        return self.height.index(0)
-
-    @property
-    def top(self):
-        return max(range(self.n), key=lambda a: self._down[a].bit_count())
-
     def incomparable_pairs(self):
         """All unordered incomparable pairs (a, b) with a < b, lexicographic."""
         return [(a, b) for a in range(self.n) for b in range(a + 1, self.n)

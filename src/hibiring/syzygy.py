@@ -238,8 +238,9 @@ def typed_generator(ideal, kind, witness):
         a1, b1, a2, b2 = witness
         f1 = ideal.generator(a1, b1)
         f2 = ideal.generator(a2, b2)
-        row = {(mu, f1.index): c for mu, c in f2.poly.coeffs.items()}
-        row.update({(mu, f2.index): -c for mu, c in f1.poly.coeffs.items()})
+        i1, i2 = f1.index, f2.index
+        row = {(f2.pair, i1): 1, (f2.jm, i1): -1,
+               (f1.pair, i2): -1, (f1.jm, i2): 1}
     else:
         index_of = ideal.index_of
         row = {}

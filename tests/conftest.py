@@ -6,14 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hibiring import enumerate_distributive, from_covers, from_points
-from hibiring.errors import HibiError
-from hibiring.polynomials import (
-    Polynomial,
-    mono_div,
-    mono_lcm,
-    mono_mul,
-    s_polynomial,
-)
+from hibiring.errors import HibiError, NotGroebner
+from hibiring.ideal import CertificateReport
+from hibiring.polynomials import mono_div, mono_lcm, mono_mul
 
 
 def chain(k):
@@ -49,10 +44,44 @@ def signs(r):
     return r, {col: -c for col, c in r.items()}
 
 
-# -- division by scan, module orders, and Schreyer pairs ------------------------
+# -- the general reference: polynomials as dicts, division by scan ------------
 #
-# Reference constructions the package does not run: the non-Groebner remark
-# and the Schreyer-pair tests read them.
+# Reference constructions the package does not run: a polynomial is a dict
+# {monomial: coefficient}, zeros dropped.  The certificate test, the
+# non-Groebner remark and the Schreyer-pair tests read them.
+
+
+def relation_poly(r):
+    """The relation x_pair - x_jm as a polynomial dict."""
+    return add({r.pair: 1}, {r.jm: -1})
+
+
+def add(*polys):
+    """The sum of polynomial dicts, zeros dropped."""
+    out = {}
+    for f in polys:
+        for m, c in f.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def mul_term(f, mono, coeff):
+    """coeff * mono * f."""
+    return add({mono_mul(m, mono): coeff * c for m, c in f.items()})
+
+
+def leading_term(f, order):
+    m = order.max(f)
+    return m, f[m]
+
+
+def s_polynomial(f, g, order):
+    """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g, in Fraction arithmetic."""
+    mf, cf = leading_term(f, order)
+    mg, cg = leading_term(g, order)
+    lcm = mono_lcm(mf, mg)
+    return add(mul_term(f, mono_div(lcm, mf), Fraction(1) / cf),
+               mul_term(g, mono_div(lcm, mg), Fraction(-1) / cg))
 
 
 def divide_by_scan(f, divisors, order):
@@ -60,23 +89,51 @@ def divide_by_scan(f, divisors, order):
     scanning the whole divisor list at every step for the first divisor
     whose lead divides the current leading monomial, and subtracting whole
     polynomials."""
-    quotients = [Polynomial.zero() for _ in divisors]
-    remainder = Polynomial.zero()
+    quotients = [{} for _ in divisors]
+    remainder = {}
     work = f
-    while not work.is_zero():
-        m, c = work.leading_term(order)
+    while work:
+        m, c = leading_term(work, order)
         for i, g in enumerate(divisors):
-            lm, lc = g.leading_term(order)
+            lm, lc = leading_term(g, order)
             q = mono_div(m, lm)
             if q is not None:
-                t = Polynomial.term(q, Fraction(c) / lc)
-                quotients[i] = quotients[i] + t
-                work = work - t * g
+                qc = Fraction(c) / lc
+                quotients[i] = add(quotients[i], {q: qc})
+                work = add(work, mul_term(g, q, -qc))
                 break
         else:
-            remainder = remainder + Polynomial.term(m, c)
-            work = work - Polynomial.term(m, c)
+            remainder[m] = c
+            work = add(work, {m: -c})
     return quotients, remainder
+
+
+def standard_form(rewriting, m):
+    """m rewritten by an ideal's Rewriting until no lead divides it."""
+    while (step := rewriting.step(m)) is not None:
+        m = step
+    return m
+
+
+def reference_certificate(ideal):
+    """buchberger_check by the general route: the S-polynomial of every pair
+    whose leads share a variable, divided by scan against all relations.
+    The report, or NotGroebner naming the first pair with a remainder."""
+    polys, order = [relation_poly(r) for r in ideal.relations], ideal.order
+    leads = [set(leading_term(f, order)[0]) for f in polys]
+    checked = skipped = max_terms = 0
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if not leads[i] & leads[j]:
+                skipped += 1
+                continue
+            s = s_polynomial(polys[i], polys[j], order)
+            max_terms = max(max_terms, len(s))
+            checked += 1
+            if divide_by_scan(s, polys, order)[1]:
+                raise NotGroebner((ideal.relations[i].pair,
+                                   ideal.relations[j].pair))
+    return CertificateReport(checked, skipped, max_terms)
 
 
 def position_key(ideal):
@@ -91,7 +148,7 @@ def schreyer_key(ideal):
     """Schreyer sort key of a column (mu, i): mu * in(f_i) in the ring order,
     ties broken by preferring the smaller generator index."""
     order = ideal.order
-    leads = [r.poly.leading_monomial(order) for r in ideal.relations]
+    leads = [order.max((r.pair, r.jm)) for r in ideal.relations]
     return lambda col: (order.key(mono_mul(col[0], leads[col[1]])), -col[1])
 
 
@@ -142,17 +199,17 @@ def schreyer_pair(i, j, ideal):
     list.  Every relation leads with coefficient 1, so each quotient
     coefficient is a whole number; one that is not raises HibiError.
     """
-    polys, order = ideal.polys, ideal.order
-    mi = polys[i].leading_monomial(order)
-    mj = polys[j].leading_monomial(order)
+    polys, order = [relation_poly(r) for r in ideal.relations], ideal.order
+    mi = leading_term(polys[i], order)[0]
+    mj = leading_term(polys[j], order)[0]
     lcm = mono_lcm(mi, mj)
     quotients, r = divide_by_scan(s_polynomial(polys[i], polys[j], order),
                                   polys, order)
-    if not r.is_zero():
+    if r:
         raise HibiError("S-polynomial did not reduce to zero")
     row = {(mono_div(lcm, mi), i): 1, (mono_div(lcm, mj), j): -1}
     for k, q in enumerate(quotients):
-        for m, c in q.coeffs.items():
+        for m, c in q.items():
             whole = int(c)
             if whole != c:
                 raise HibiError(f"quotient coefficient {c} of S({i}, {j}) "

@@ -22,7 +22,6 @@ from hibiring import (
     syzygy,
 )
 from hibiring.cli import build_parser, main
-from hibiring.polynomials import Polynomial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -190,6 +189,12 @@ def test_ideal_prime_too_small(capsys):
     ("fp:1", "is not prime"),
     ("gf:7", "unknown field"),
     ("fp:x", ""),
+    ("fp:abc", "unknown field"),
+    ("fp:", "unknown field"),
+    ("fp:1_01", "unknown field"),
+    ("fp:+101", "unknown field"),
+    ("fp: 101", "unknown field"),
+    ("fp:\u0661\u0660\u0661", "unknown field"),  # Arabic-Indic 101
 ])
 def test_ideal_field_rejected(capsys, field, message):
     code, out, err = run(capsys, "ideal", "--grid", "2", "3", "--field", field)
@@ -454,25 +459,6 @@ def test_syzygy_verify_applies_phi_once(capsys, count_calls):
     doc = json.loads(out)
     assert doc["verified"] is True
     assert len(calls) == len(doc["generators"]) == 161
-
-
-def test_syzygy_verify_makes_no_polynomial_product(capsys, monkeypatch):
-    """Typed generators are built and phi-checked as integer rows: the
-    verified syzygy run never multiplies two Polynomials."""
-    calls = []
-    product = Polynomial.__mul__
-
-    def counted(self, other):
-        calls.append(other)
-        return product(self, other)
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
-    code, out, _ = run(capsys, "syzygy", "--grid", "2", "3", "--verify")
-    assert code == 0
-    assert "all 161 typed generators verified as syzygies" in out
-    assert calls == []
-    x = Polynomial.variable(0)
-    x * x  # the counter is live
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -1,17 +1,23 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_certificate, standard_form
 from hibiring import enumerate_distributive, from_covers, grid
 from hibiring.errors import NotGroebner
 from hibiring.ideal import (
+    CertificateReport,
+    Rewriting,
     buchberger_check,
     hibi_ideal,
     to_json_dict,
     to_macaulay2,
     to_singular,
 )
-from hibiring.polynomials import DivisorIndex, Polynomial, mono_div, normal_form
+from hibiring.polynomials import mono_div
 
 CENSUS = list(enumerate_distributive(8))
 
@@ -29,7 +35,7 @@ def test_chain_empty_ideal():
 
 def test_grid_1_2_generators():
     I = hibi_ideal(grid(1, 2))
-    texts = [I.render(r.poly) for r in I.relations]
+    texts = [I.render(r) for r in I.relations]
     assert texts == ["x2*x3-x1*x4", "x2*x5-x1*x6", "x4*x5-x3*x6"]
     assert [r.pair for r in I.relations] == [(1, 2), (1, 4), (3, 4)]
 
@@ -43,7 +49,7 @@ def test_grid_2_3_generators():
         "x7*x8-x5*x10", "x7*x9-x3*x12", "x7*x11-x5*x12", "x8*x9-x6*x11",
         "x9*x10-x6*x12", "x10*x11-x8*x12",
     }
-    assert {I.render(r.poly) for r in I.relations} == expected
+    assert {I.render(r) for r in I.relations} == expected
     assert len(I) == 18
 
 
@@ -58,8 +64,7 @@ def test_leading_monomial_is_incomparable_product():
         I = hibi_ideal(L)
         for r in I.relations:
             a, b = r.pair
-            lead = r.poly.leading_monomial(I.order)
-            assert lead == (a, b)
+            assert I.order.max((r.pair, r.jm)) == (a, b)
 
 
 def test_binomial_shape():
@@ -70,10 +75,9 @@ def test_binomial_shape():
         for r in I.relations:
             a, b = r.pair
             jm = tuple(sorted((L.meet[a][b], L.join[a][b])))
-            assert list(r.poly.coeffs) == [(a, b), jm]
-            assert r.poly.coeffs == {(a, b): 1, jm: -1}
-            assert r.poly.degree() == 2
-            assert r.poly.is_homogeneous()
+            assert (r.pair, r.jm) == ((a, b), jm)
+            assert list(r.pair) == sorted(r.pair) and list(r.jm) == sorted(r.jm)
+            assert len(r.pair) == len(r.jm) == 2
 
 
 def test_buchberger_census():
@@ -82,9 +86,10 @@ def test_buchberger_census():
 
 
 def test_buchberger_grids():
-    # (checked, skipped): only pairs whose leads share a variable are reduced
-    pinned = {(3, 3): (176, 454), (4, 4): (900, 4050), (5, 5): (3200, 22000),
-              (6, 6): (9065, 87955)}
+    # (checked, skipped, most terms of a checked S-polynomial, passed): only
+    # pairs whose leads share a variable are reduced
+    pinned = {(3, 3): (176, 454, 2, True), (4, 4): (900, 4050, 2, True),
+              (5, 5): (3200, 22000, 2, True), (6, 6): (9065, 87955, 2, True)}
     for (m, n) in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5),
                    (6, 6)]:
         I = hibi_ideal(grid(m, n))
@@ -92,24 +97,22 @@ def test_buchberger_grids():
         assert report.passed
         assert report.pairs_checked + report.pairs_skipped == len(I) * (len(I) - 1) // 2
         if (m, n) in pinned:
-            assert (report.pairs_checked, report.pairs_skipped) == pinned[(m, n)]
+            assert report == CertificateReport(*pinned[(m, n)])
 
 
 def test_buchberger_failure_detected():
     I = hibi_ideal(grid(1, 2))
-    # corrupt one tail term so the basis is no longer a Groebner basis
-    bad = I.relations[0].poly + Polynomial.variable(5) * Polynomial.variable(5)
-    I.relations[0] = I.relations[0]._replace(poly=bad)
+    # corrupt one tail so the basis is no longer a Groebner basis
+    I.relations[0] = I.relations[0]._replace(jm=(5, 5))
     with pytest.raises(NotGroebner):
         buchberger_check(I)
 
 
 def test_buchberger_failure_with_changed_lead():
     I = hibi_ideal(grid(1, 2))
-    x1 = Polynomial.variable(0)
-    bad = I.relations[0].poly + x1 * x1
-    assert bad.leading_monomial(I.order) == (0, 0)
-    I.relations[0] = I.relations[0]._replace(poly=bad)
+    bad = I.relations[0]._replace(jm=(0, 0))
+    assert I.order.max((bad.pair, bad.jm)) == (0, 0)
+    I.relations[0] = bad
     # x1^2 is coprime to both other leads, so the first criterion settles
     # those pairs; the failure shows on the one pair whose leads share x5
     with pytest.raises(NotGroebner) as info:
@@ -122,26 +125,30 @@ def test_reducedness():
     leading monomial."""
     for L in CENSUS:
         I = hibi_ideal(L)
-        leads = [r.poly.leading_monomial(I.order) for r in I.relations]
+        leads = [I.order.max((r.pair, r.jm)) for r in I.relations]
         for r in I.relations:
-            lead = r.poly.leading_monomial(I.order)
-            for m in r.poly.coeffs:
+            lead = I.order.max((r.pair, r.jm))
+            for m in (r.pair, r.jm):
                 if m != lead:
                     assert all(mono_div(m, lm) is None for lm in leads)
 
 
 def test_normal_form_rewrites():
     I = hibi_ideal(grid(1, 2))
-    index = DivisorIndex(I.polys, I.order)
-    nf = lambda f: normal_form(f, index)
-    x = lambda v: Polynomial.variable(v - 1)
-    assert nf(x(2) * x(3)) == x(1) * x(4)
-    assert nf(x(1)) == x(1)
-    out = nf(x(2) * x(5) * x(4))
+    rewriting = Rewriting(I)
+
+    def nf(*xs):
+        return standard_form(rewriting, tuple(sorted(v - 1 for v in xs)))
+    assert nf(2, 3) == nf(1, 4) == (0, 3)
+    assert nf(1) == (0,)
+    out = nf(2, 5, 4)
     # fully rewritten: no monomial divisible by any incomparable product
-    leads = [r.poly.leading_monomial(I.order) for r in I.relations]
-    assert all(all(mono_div(m, lm) is None for lm in leads) for m in out.coeffs)
-    assert nf(x(2) * x(5) * x(4)) == nf(x(1) * x(6) * x(4))
+    leads = [I.order.max((r.pair, r.jm)) for r in I.relations]
+    assert all(mono_div(out, lm) is None for lm in leads)
+    assert out == nf(1, 6, 4)
+    # u - v reduces to zero exactly when both rewrite to one monomial
+    assert rewriting.meets((1, 3, 4), (0, 3, 5))
+    assert not rewriting.meets((1, 3, 4), (0, 1, 5))
 
 
 def test_macaulay2_export():
@@ -167,6 +174,36 @@ def test_json_export():
     assert d["field"] == "QQ"
     assert [g["text"] for g in d["generators"]] == [
         "x2*x3-x1*x4", "x2*x5-x1*x6", "x4*x5-x3*x6"]
+
+
+def test_certificate_matches_general_reference():
+    """buchberger_check equals the general reference (S-polynomials divided
+    by scan, conftest) on census <= 9 and grid 2x3, clean and with seeded
+    corruptions of one relation's (meet, join) monomial: the same report, or
+    NotGroebner on the same pair."""
+    def outcome(check, I):
+        try:
+            return check(I)
+        except NotGroebner as exc:
+            return exc.pair
+    start = time.perf_counter()
+    rng = random.Random(26)
+    failed = 0
+    for L in list(enumerate_distributive(9)) + [grid(2, 3)]:
+        I = hibi_ideal(L)
+        assert outcome(buchberger_check, I) == outcome(reference_certificate, I)
+        for _ in range(4 if len(I) else 0):
+            J = hibi_ideal(L)
+            k = rng.randrange(len(J))
+            jm = tuple(sorted(rng.choices(range(L.n), k=2)))
+            if jm == J.relations[k].pair:
+                continue
+            J.relations[k] = J.relations[k]._replace(jm=jm)
+            got = outcome(buchberger_check, J)
+            assert got == outcome(reference_certificate, J)
+            failed += not isinstance(got, CertificateReport)
+    assert failed > 50
+    assert time.perf_counter() - start < 2
 
 
 @given(st.sampled_from(CENSUS))

@@ -329,5 +329,7 @@ def test_covers_consistent(L):
         assert L.le(a, b) and a != b
         assert not any(L.le(a, c) and L.le(c, b) and c not in (a, b)
                        for c in range(L.n))
-    assert L.height[L.bottom] == 0
-    assert all(L.le(L.bottom, x) and L.le(x, L.top) for x in range(L.n))
+    order = L.linear_extension()
+    bottom, top = order[0], order[-1]
+    assert L.height[bottom] == 0
+    assert all(L.le(bottom, x) and L.le(x, top) for x in range(L.n))

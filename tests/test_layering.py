@@ -1,7 +1,8 @@
 """The package's import layering: intra-package imports run one way, from
 errors and polynomials up through lattice, ideal, syzygy and oracle, betti
 to cli, and no module imports another module's private names.  Importing
-the command line stays lean: it loads neither dataclasses nor inspect.  The
+the command line stays lean: it loads neither dataclasses nor inspect, nor
+fractions nor decimal.  The
 public names are pinned, so an API change shows as an edit here."""
 
 import ast
@@ -77,9 +78,11 @@ def test_no_private_imports():
 def test_cli_import_loads_no_dataclasses():
     """A fresh interpreter without site imports hibiring.cli and holds
     neither dataclasses nor inspect: the records are named tuples, and
-    dataclasses alone would pull in inspect, ast, dis and tokenize."""
+    dataclasses alone would pull in inspect, ast, dis and tokenize.  Nor does
+    it hold fractions or decimal: all arithmetic is on ints."""
     probe = ("import sys, hibiring.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+             " & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout

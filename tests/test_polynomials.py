@@ -4,28 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divide_by_scan
-from hibiring import grid, polynomials
-from hibiring.errors import HibiError, ZeroInput
-from hibiring.ideal import buchberger_check, hibi_ideal
-from hibiring.polynomials import (
-    DivisorIndex,
-    Polynomial,
-    RevLex,
-    _div,
-    mono_div,
-    mono_lcm,
-    mono_mul,
-    normal_form,
+from conftest import (
+    divide_by_scan,
+    leading_term,
+    relation_poly,
     s_polynomial,
+    standard_form,
 )
+from hibiring import grid
+from hibiring.errors import HibiError
+from hibiring.ideal import Rewriting, buchberger_check, hibi_ideal
+from hibiring.polynomials import RevLex, mono_div, mono_lcm, mono_mul
 
 NV = 4
-ORDER = RevLex(NV)
-
-
-def P(coeffs):
-    return Polynomial({m: Fraction(c) for m, c in coeffs.items()})
+ORDER = RevLex(NV, range(NV))
 
 
 def monos(max_deg=8):
@@ -34,35 +26,13 @@ def monos(max_deg=8):
 
 
 def polys():
-    return st.dictionaries(monos(), st.integers(-5, 5), max_size=5).map(P)
+    """Polynomial dicts of the general reference, zeros dropped."""
+    return st.dictionaries(monos(), st.integers(-5, 5), max_size=5).map(
+        lambda f: {m: c for m, c in f.items() if c})
 
 
-# -- coefficients ----------------------------------------------------------
-
-def rationals():
-    return st.one_of(st.integers(-50, 50),
-                     st.fractions(min_value=-50, max_value=50,
-                                  max_denominator=12))
-
-
-@given(rationals(), rationals())
-@settings(max_examples=200, deadline=None)
-def test_rational_field_is_exact(a, b):
-    """_div agrees with Fraction division on ints and Fractions, and returns
-    a whole quotient as an int."""
-    if not b:
-        with pytest.raises(ZeroDivisionError):
-            _div(a, b)
-        return
-    q = _div(a, b)
-    assert q == Fraction(a) / Fraction(b)
-    assert type(q) is (int if q.denominator == 1 else Fraction)
-
-
-def test_whole_fraction_coefficient_is_the_int():
-    m = (0,)
-    f, g = Polynomial({m: Fraction(2)}), Polynomial({m: 2})
-    assert f == g and hash(f) == hash(g)
+def greater(order, a, b):
+    return order.key(a) > order.key(b)
 
 
 # -- order -----------------------------------------------------------------
@@ -71,11 +41,11 @@ def test_revlex_basic():
     # x2*x3 > x1*x4 in degrevlex with x1 > x2 > x3 > x4
     a = (1, 2)
     b = (0, 3)
-    assert ORDER.greater(a, b)
-    assert not ORDER.greater(b, a)
+    assert greater(ORDER, a, b)
+    assert not greater(ORDER, b, a)
     # degree dominates
-    assert ORDER.greater((3, 3), (0, 1, 2)) is False
-    assert ORDER.greater((0, 0, 1), (0, 1))
+    assert greater(ORDER, (3, 3), (0, 1, 2)) is False
+    assert greater(ORDER, (0, 0, 1), (0, 1))
 
 
 def test_revlex_rank_permutation():
@@ -83,16 +53,16 @@ def test_revlex_rank_permutation():
     rev = RevLex(NV, rank=[3, 2, 1, 0])
     a = (0, 1)
     b = (2, 3)
-    assert ORDER.greater(a, b)
-    assert rev.greater(b, a)
+    assert greater(ORDER, a, b)
+    assert greater(rev, b, a)
 
 
 def test_leading_monomial_follows_order():
     rev = RevLex(NV, rank=[3, 2, 1, 0])
-    f = P({(0, 1): 1, (2, 3): 1})
-    assert f.leading_monomial(ORDER) == (0, 1)
-    assert f.leading_monomial(rev) == (2, 3)
-    assert f.leading_monomial(ORDER) == (0, 1)
+    f = ((0, 1), (2, 3))
+    assert ORDER.max(f) == (0, 1)
+    assert rev.max(f) == (2, 3)
+    assert ORDER.max(f[::-1]) == (0, 1)
 
 
 def test_revlex_bad_rank():
@@ -104,8 +74,9 @@ def test_revlex_bad_rank():
 @settings(max_examples=100, deadline=None)
 def test_revlex_total_and_multiplicative(a, b, c):
     if a != b:
-        assert ORDER.greater(a, b) != ORDER.greater(b, a)
-        assert ORDER.greater(mono_mul(a, c), mono_mul(b, c)) == ORDER.greater(a, b)
+        assert greater(ORDER, a, b) != greater(ORDER, b, a)
+        assert (greater(ORDER, mono_mul(a, c), mono_mul(b, c))
+                == greater(ORDER, a, b))
 
 
 def _exponents(m):
@@ -129,7 +100,7 @@ def _degrevlex_greater(a, b, rank):
 @settings(max_examples=200, deadline=None)
 def test_revlex_key_is_degrevlex_on_exponents(a, b, rank):
     order = RevLex(NV, rank)
-    assert order.greater(a, b) == _degrevlex_greater(a, b, rank)
+    assert greater(order, a, b) == _degrevlex_greater(a, b, rank)
     assert (order.key(a) == order.key(b)) == (a == b)
 
 
@@ -151,156 +122,120 @@ def test_monomial_operations_on_exponents(a, b):
         assert list(m) == sorted(m)
 
 
-# -- arithmetic ------------------------------------------------------------
-
-def test_poly_basics():
-    x1 = Polynomial.variable(0)
-    x2 = Polynomial.variable(1)
-    f = (x1 + x2) * (x1 - x2)
-    assert f == x1 * x1 - x2 * x2
-    assert f.degree() == 2
-    assert f.is_homogeneous()
-    assert (f - f).is_zero()
-    assert (f - f).degree() == -1
-    assert Polynomial({(0,): 0, (1,): 2, (): Fraction(0)}).coeffs == {(1,): 2}
-
-
-def test_leading_term():
-    f = P({(1, 2): 2, (0, 3): -3})
-    m, c = f.leading_term(ORDER)
-    assert m == (1, 2) and c == 2
-    with pytest.raises(ZeroInput):
-        Polynomial.zero().leading_monomial(ORDER)
-
+# -- rendering -------------------------------------------------------------
 
 def test_render():
-    f = P({(0, 1): 1, (2, 3): -1})
-    assert f.render(["a", "b", "c", "d"], ORDER) == "a*b-c*d"
-    assert Polynomial.zero().render(["a", "b", "c", "d"]) == "0"
-    # a repeated variable is a power; repr names variables up to the largest
-    g = P({(0, 0, 2): 3, (): -1})
-    assert g.render(["a", "b", "c", "d"], ORDER) == "3*a^2*c-1"
-    assert repr(g) == "Polynomial(3*x1^2*x3-1)"
+    """A relation prints its leading monomial first, a repeated variable as
+    a power."""
+    I = hibi_ideal(grid(1, 1))
+    r = I.relations[0]
+    assert I.render(r) == "x2*x3-x1*x4"
+    assert I.render(r, "m2") == "x_2*x_3-x_1*x_4"
+    # x1^2 leads x2*x3, so it is printed first, with its sign
+    assert I.render(r._replace(jm=(0, 0))) == "-x1^2+x2*x3"
+    assert (I.render(r._replace(jm=(1, 1, 3)), "singular")
+            == "-x(2)^2*x(4)+x(2)*x(3)")
 
 
-@given(polys(), polys(), polys())
-@settings(max_examples=60, deadline=None)
-def test_ring_axioms(f, g, h):
-    assert f + g == g + f
-    assert f * g == g * f
-    assert (f + g) * h == f * h + g * h
-    assert (f * g) * h == f * (g * h)
-    assert (f - f).is_zero()
-
-
-# -- division --------------------------------------------------------------
+# -- rewriting and the reference division -----------------------------------
 
 def test_divide_remainder_irreducible():
-    f = P({(0, 1): 1, (3,): 1})
-    g = P({(0,): 1, (2,): -1})  # lead x1
-    r = normal_form(f, DivisorIndex([g], ORDER))
+    """The reference division (conftest), which the certificate is checked
+    against, leaves a remainder no divisor's lead divides."""
+    f = {(0, 1): 1, (3,): 1}
+    g = {(0,): 1, (2,): -1}  # lead x1
+    r = divide_by_scan(f, [g], ORDER)[1]
     # x1*x2 reduces to x2*x3; x4 stays
-    assert r == P({(1, 2): 1, (3,): 1})
-    lm = g.leading_monomial(ORDER)
-    assert all(mono_div(m, lm) is None for m in r.coeffs)
+    assert r == {(1, 2): 1, (3,): 1}
+    lm = leading_term(g, ORDER)[0]
+    assert all(mono_div(m, lm) is None for m in r)
 
 
-@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
-                         min_size=1, max_size=3), monos(3), rationals())
-@settings(max_examples=60, deadline=None)
-def test_built_polynomials_hold_no_zero(f, gs, mono, coeff):
-    """mul_term and normal_form keep the dicts they build, unfiltered; none
-    holds a zero coefficient."""
-    r = normal_form(f, DivisorIndex(gs, ORDER))
-    for p in [r, f.mul_term(mono, coeff)]:
-        assert all(p.coeffs.values())
-    assert f.mul_term(mono, 0).is_zero()
+def test_normal_form():
+    g = {(0,): 1}
+    f = {(0, 1): 1, (2,): 2}
+    assert divide_by_scan(f, [g], ORDER)[1] == {(2,): 2}
 
 
 def test_divide_first_divisor_wins():
-    # both leads divide x1*x2; they sit under different variables of the index
-    x1, x2 = P({(0,): 1}), P({(1,): 1})
-    m = (0, 1)
-    assert DivisorIndex([x1, x2], ORDER).first_divisor(m) == 0
-    assert DivisorIndex([x2, x1], ORDER).first_divisor(m) == 0
-    # the smallest dividing index wins, whichever bucket it sits in
-    x3 = P({(2,): 1})
-    assert DivisorIndex([x3, x2, x1], ORDER).first_divisor(m) == 1
-    assert DivisorIndex([x3], ORDER).first_divisor(m) == 1  # none divides
+    """Rewriting.divisor is the smallest index whose lead divides the
+    monomial, whichever variable the lead shares with it."""
+    I = hibi_ideal(grid(1, 2))  # leads x2*x3, x2*x5, x4*x5
+    divisor = Rewriting(I).divisor
+    assert divisor((1, 2, 4)) == 0  # x2*x3 and x2*x5 divide
+    assert divisor((1, 3, 4)) == 1  # x2*x5 and x4*x5 divide
+    assert divisor((0, 3, 4)) == 2
+    assert divisor((0, 5)) is None  # none divides
+    I.relations.reverse()  # leads x4*x5, x2*x5, x2*x3
+    assert Rewriting(I).divisor((1, 2, 4)) == 1
+    # a lead that occurs twice is found at its first index
+    I.relations[0] = I.relations[0]._replace(pair=(1, 2))
+    assert Rewriting(I).divisor((1, 2, 4)) == 0
 
 
-@given(polys(), st.lists(polys().filter(lambda p: not p.is_zero()),
-                         min_size=1, max_size=4))
+@given(st.lists(st.integers(0, 8), max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_normal_form_is_the_division_remainder(f, gs):
-    """normal_form equals the remainder of the full-scan reference division,
-    and no monomial of it is divisible by a divisor's lead."""
-    remainder = normal_form(f, DivisorIndex(gs, ORDER))
-    assert remainder == divide_by_scan(f, gs, ORDER)[1]
-    leads = [g.leading_monomial(ORDER) for g in gs]
-    for m in remainder.coeffs:
-        assert all(mono_div(m, lm) is None for lm in leads)
+def test_normal_form_is_the_division_remainder(vs):
+    """Rewriting a monomial by the relations of grid 2x2 until no lead
+    divides it gives the remainder of the full-scan reference division, and
+    no lead divides what is left."""
+    I = hibi_ideal(grid(2, 2))
+    m = tuple(sorted(vs))
+    rewriting = Rewriting(I)
+    standard = standard_form(rewriting, m)
+    polys = [relation_poly(r) for r in I.relations]
+    assert divide_by_scan({m: 1}, polys, I.order)[1] == {standard: 1}
+    assert all(mono_div(standard, lead) is None for lead, _ in rewriting.rules)
 
 
-def test_buchberger_builds_one_index(monkeypatch):
-    """One DivisorIndex serves all 900 reductions of grid 4x4, where
-    indexing on each call would build 900."""
-    built = []
-    init = DivisorIndex.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-    monkeypatch.setattr(polynomials.DivisorIndex, "__init__", counted)
+def test_buchberger_builds_one_index(count_calls):
+    """One lead lookup serves all 900 reductions of grid 4x4, where
+    building it on each call would build 900."""
+    built = count_calls(Rewriting, "__init__")
     report = buchberger_check(hibi_ideal(grid(4, 4)))
     assert report.pairs_checked == 900
     assert len(built) == 1
-
-
-def test_buchberger_builds_no_quotients(count_calls):
-    """The certificate keeps only remainders: its 900 reductions of grid 4x4
-    are normal forms, which build no quotient."""
-    forms = count_calls(polynomials, "normal_form")
-    report = buchberger_check(hibi_ideal(grid(4, 4)))
-    assert (report.pairs_checked, report.pairs_skipped) == (900, 4050)
-    assert len(forms) == 900
 
 
 def test_certificate_builds_no_fraction(monkeypatch):
     """Over unit-coefficient binomials every coefficient is a whole number,
     so certifying grid 4x4 constructs no Fraction at all."""
     built = []
+    new = Fraction.__new__
 
-    class Counted(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return super().__new__(cls, *args, **kwargs)
-    monkeypatch.setattr(polynomials, "Fraction", Counted)
-    assert _div(1, 2) == Fraction(1, 2) and len(built) == 1
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    half = Fraction(1, 2)
+    assert len(built) == 1 and half.denominator == 2
     built.clear()
     report = buchberger_check(hibi_ideal(grid(4, 4)))
     assert report.pairs_checked == 900
     assert built == []
 
 
-def test_normal_form():
-    g = P({(0,): 1})
-    f = P({(0, 1): 1, (2,): 2})
-    assert normal_form(f, DivisorIndex([g], ORDER)) == P({(2,): 2})
+def test_buchberger_builds_no_quotients(count_calls):
+    """The certificate keeps only remainders: its 900 reductions of grid 4x4
+    are walks that rewrite two monomials, which build no quotient."""
+    walks = count_calls(Rewriting, "meets")
+    report = buchberger_check(hibi_ideal(grid(4, 4)))
+    assert (report.pairs_checked, report.pairs_skipped) == (900, 4050)
+    assert len(walks) == 900
 
 
-# -- S-polynomials ---------------------------------------------------------
+# -- S-polynomials of the general reference (conftest) ----------------------
 
 def test_s_polynomial_cancels_leads():
-    f = P({(1, 2): 1, (0, 3): -1})
-    g = P({(1, 3): 1, (0, 3): -2})
+    f = {(1, 2): 1, (0, 3): -1}
+    g = {(1, 3): 1, (0, 3): -2}
     s = s_polynomial(f, g, ORDER)
-    lcm = mono_lcm(f.leading_monomial(ORDER), g.leading_monomial(ORDER))
-    assert lcm not in s.coeffs
+    lcm = mono_lcm(leading_term(f, ORDER)[0], leading_term(g, ORDER)[0])
+    assert lcm not in s
 
 
-@given(polys().filter(lambda p: not p.is_zero()),
-       polys().filter(lambda p: not p.is_zero()))
+@given(polys().filter(bool), polys().filter(bool))
 @settings(max_examples=60, deadline=None)
 def test_s_polynomial_antisymmetric(f, g):
-    assert s_polynomial(f, g, ORDER) == -s_polynomial(g, f, ORDER)
+    assert s_polynomial(f, g, ORDER) == {
+        m: -c for m, c in s_polynomial(g, f, ORDER).items()}
