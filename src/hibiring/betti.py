@@ -22,7 +22,7 @@ from .oracle import (
     graded_betti_row,
     standard_monomial,
 )
-from .syzygy import FINE_KINDS, diamond_reducible
+from .syzygy import FINE_KINDS, KINDS, diamond_reducible
 
 # -- grid formulas -----------------------------------------------------------
 
@@ -101,11 +101,14 @@ def n_diamond_planar(L):
     The count is the rank they add beyond the shifted degree-3 kernel: a
     planar diamond is fixed by its meet and join, so for comparable pairs the
     fiber of x_a1 x_b1 x_a2 x_b2 (standard monomial x_m1 x_j1 x_m2 x_j2, Hibi
-    1987) holds no other candidate, and the shift span is multigraded.  What
-    breaks the count is the criterion: diamond_reducible calls 13 pairs
-    reducible whose fiber still has H~_1 = 1, so the count falls short of the
-    oracle's degree-4 row on 10 planar lattices of at most 12 elements.
-    planar_betti's degree-4 oracle check reports each of them.
+    1987) holds no other candidate, and the shift span is multigraded.  A
+    pair counts when no bridge (an incomparable pair with its meet in lo and
+    its join in hi) has an element on the spine, the elements comparable to
+    both join(lo) and meet(hi).  That criterion is a conjecture: it is
+    checked pair by pair against H~_1 of the degree-4 fiber on every planar
+    lattice of at most 12 elements, and the count equals the oracle's
+    degree-4 row there.  planar_betti's degree-4 oracle check reports any
+    lattice where they part.
     """
     if not L.is_planar():
         raise NotPlanar("formula counting needs a planar lattice")
@@ -186,21 +189,16 @@ def planar_betti(ideal):
 # -- minimalization of the typed generating set -------------------------------
 
 
-_COARSE_OF = {"S1": "strip", "S2": "strip", "L": "L", "B1": "box", "B2": "box",
-              "G1": "G", "G2": "G", "G3": "G", "G4": "G", "G5": "G", "G6": "G",
-              "G": "G", "D": "diamond"}
-_KIND_PRIORITY = {k: i for i, k in enumerate(FINE_KINDS)}
-
-
 def typed_minimal_histogram(ideal, gens):
     """Greedy minimal generating set drawn from gens, the typed generators.
 
     Only degree-3 rows are read: a degree-4 row (kind D) in gens is skipped,
     so a caller may pass the degree-3 generators alone, as cmd_syzygy does.
-    Degree-3 elements are admitted in kind order strip, L, box, G, each one
-    kept only if it enlarges the span, and the kept ones must span the whole
-    degree-3 kernel (OracleMismatch otherwise, naming the first fiber they
-    fall short in).  Returns the per-kind counts of the kept generators.
+    Degree-3 elements are admitted in the kind order of syzygy.KINDS (strip,
+    L, box, G), each one kept only if it enlarges the span, and the kept ones
+    must span the whole degree-3 kernel (OracleMismatch otherwise, naming the
+    first fiber they fall short in).  Returns the counts of the kept
+    generators by their family in KINDS.
 
     Every row is multihomogeneous: all its columns (mu, i) share the
     multidegree of mu * x_a x_b, (a, b) the pair of relation i.  So spans and
@@ -217,8 +215,8 @@ def typed_minimal_histogram(ideal, gens):
     (the paper's completeness theorem) is what test_4_typed_completeness and
     the uncapped reference in tests/test_betti.py check.
     """
-    gens = sorted(gens, key=lambda t: (_KIND_PRIORITY[t.kind], t.witness))
-    hist = {"strip": 0, "L": 0, "box": 0, "G": 0, "diamond": 0}
+    gens = sorted(gens, key=lambda t: (FINE_KINDS.index(t.kind), t.witness))
+    hist = dict.fromkeys(KINDS.values(), 0)
     L = ideal.lattice
     pairs = [r.pair for r in ideal.relations]
     codes = fiber_codes(L, 3)
@@ -235,7 +233,7 @@ def typed_minimal_histogram(ideal, gens):
             continue
         b = fiber(t.row)
         if spans[b].rank < kernels[b] and spans[b].add(t.row):
-            hist[_COARSE_OF[t.kind]] += 1
+            hist[KINDS[t.kind]] += 1
     short = next((b for b, k in kernels.items() if spans[b].rank < k), None)
     if short is not None:
         rank = sum(span.rank for span in spans.values())
@@ -269,12 +267,14 @@ def planar_linearity(L):
     when n_diamond_planar(L) > 0, that is when some minimal generator sits in
     degree 4.  k is reported alongside but decides nothing.
 
-    nD > 0 implies nonlinear by the fiber argument of n_diamond_planar: each
-    unbridged comparable diamond pair is minimal in its own degree-4 fiber.
-    The converse, nD = 0 implies linear, is checked rather than proven: it
-    holds on all 299 planar lattices of 2-12 elements and on all 1295
-    of 13-15 elements.  If the count and the oracle ever part, planar_betti
-    raises OracleMismatch and the census fails that lattice's row.
+    nD counts the comparable diamond pairs with no bridge on the spine
+    (n_diamond_planar), and that criterion is a conjecture checked pair by
+    pair on census <= 12, not a theorem.  So both directions are checked
+    rather than proven: nD equals the oracle's degree-4 row on all 299 planar
+    lattices of 2-12 elements, and on all 1295 of 13-15 elements in a run
+    with the enumeration cap raised.  If the count and the oracle ever part,
+    planar_betti raises OracleMismatch and the census fails that lattice's
+    row.
     """
     nD = n_diamond_planar(L)
     noun = "pair" if nD == 1 else "pairs"

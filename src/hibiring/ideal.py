@@ -59,6 +59,7 @@ class HibiIdeal:
         self.relations = []
         self.index_of = {}
         self._term_codes = {}
+        self._names = {}
         meet, join = lattice.meet, lattice.join
         for k, (a, b) in enumerate(lattice.incomparable_pairs()):
             jm = tuple(sorted((meet[a][b], join[a][b])))
@@ -87,12 +88,13 @@ class HibiIdeal:
         return cached
 
     def variable_names(self, style="plain"):
-        n = self.lattice.n
-        if style == "m2":
-            return [f"x_{v + 1}" for v in range(n)]
-        if style == "singular":
-            return [f"x({v + 1})" for v in range(n)]
-        return [f"x{v + 1}" for v in range(n)]
+        """The variable names in an exporter's style, built once per style."""
+        names = self._names.get(style)
+        if names is None:
+            form = {"m2": "x_{}", "singular": "x({})"}.get(style, "x{}")
+            names = self._names[style] = tuple(
+                form.format(v + 1) for v in range(self.lattice.n))
+        return names
 
     def render(self, relation, style="plain"):
         """The relation as text, its leading monomial first; a repeated

@@ -142,11 +142,15 @@ class Lattice:
                 if self.incomparable(a, b)]
 
     def diamonds(self):
-        """The set of (meet, join) over the incomparable pairs: each diamond
-        by its bottom and top, built on the first call."""
+        """The incomparable pairs indexed by their (meet, join), each
+        diamond's bottom and top: a dict to tuples of pairs in
+        incomparable_pairs order, built on the first call."""
         if self._diamonds is None:
-            self._diamonds = frozenset((self.meet[a][b], self.join[a][b])
-                                       for a, b in self.incomparable_pairs())
+            index = {}
+            for a, b in self.incomparable_pairs():
+                index.setdefault((self.meet[a][b], self.join[a][b]),
+                                 []).append((a, b))
+            self._diamonds = {k: tuple(v) for k, v in index.items()}
         return self._diamonds
 
     def comparable_pairs(self):

@@ -295,10 +295,11 @@ def multichains(lattice, d):
     """Number of multichains c_1 <= ... <= c_d (d >= 1) of the lattice, which
     is dim R_d: every degree-d fiber holds exactly one standard monomial, and
     the standard monomials are the multichains (Hibi 1987).  Counted by how
-    many end at each element, in O(n^2 d)."""
-    n = lattice.n
-    below = [[b for b in range(n) if lattice.le(b, a)] for a in range(n)]
-    ending = [1] * n
+    many end at each element, in O(n^2 d); the b <= a are read off the join
+    row of a."""
+    below = [[b for b, x in enumerate(row) if x == a]
+             for a, row in enumerate(lattice.join)]
+    ending = [1] * lattice.n
     for _ in range(d - 1):
         ending = [sum(ending[b] for b in bs) for bs in below]
     return sum(ending)

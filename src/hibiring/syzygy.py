@@ -60,6 +60,8 @@ def _decode(code, base):
 # relation profile bits (r1, r2, r3, r4) for a shared-element pair with
 # incomparable b1, b2: r1 = b1 <= a|b2, r2 = b1 >= a&b2, r3 = b2 <= a|b1,
 # r4 = b2 >= a&b1; True means the comparison holds, False means incomparable.
+# Swapping b1 and b2 swaps (r1, r2) with (r3, r4): G3 with G6, G4 with G5,
+# and box with box-swapped, the box read with its b's the other way round.
 _INCOMPARABLE_TABLE = {
     (False, False, False, False): "G",
     (False, False, False, True): "G5",
@@ -73,10 +75,33 @@ _INCOMPARABLE_TABLE = {
 }
 
 
-def _cross_relations(L, a, b1, b2):
+def _family(L, a, b1, b2):
+    """The family of the diamonds (a, b1) and (a, b2), read in that order,
+    or None when they are not two distinct diamonds on a or when b2 < b1.
+    With b1 < b2 and equal joins with a, not equal meets, it is strip-dual:
+    a strip whose generators are built on the witness (b1, a & b2, a)."""
+    if not (L.incomparable(a, b1) and L.incomparable(a, b2)):
+        return None
     j, m = L.join, L.meet
-    return (L.le(b1, j[a][b2]), L.le(m[a][b2], b1),
-            L.le(b2, j[a][b1]), L.le(m[a][b1], b2))
+    if L.incomparable(b1, b2):
+        bits = (L.le(b1, j[a][b2]), L.le(m[a][b2], b1),
+                L.le(b2, j[a][b1]), L.le(m[a][b1], b2))
+        family = _INCOMPARABLE_TABLE.get(bits)
+        if family is None:
+            raise InconsistentProfile(
+                f"profile {bits} for elements ({L.labels[a]},{L.labels[b1]},"
+                f"{L.labels[b2]}) matches no family")
+        return family
+    if L.le(b2, b1):
+        return None
+    joins_equal = j[a][b1] == j[a][b2]
+    meets_equal = m[a][b1] == m[a][b2]
+    if joins_equal and meets_equal:
+        raise InconsistentProfile(
+            "equal joins and meets force equal elements in a distributive lattice")
+    if joins_equal:
+        return "strip-dual"
+    return "strip" if meets_equal else "L"
 
 
 def classify_full(L, p1, p2):
@@ -93,32 +118,15 @@ def classify_full(L, p1, p2):
     a = next(iter(shared))
     b1 = p1[0] if p1[1] == a else p1[1]
     b2 = p2[0] if p2[1] == a else p2[1]
-    if L.incomparable(b1, b2):
-        if b2 < b1:
-            b1, b2 = b2, b1
-        bits = _cross_relations(L, a, b1, b2)
-        kind = _INCOMPARABLE_TABLE.get(bits)
-        if kind is None:
-            raise InconsistentProfile(
-                f"profile {bits} for elements ({L.labels[a]},{L.labels[b1]},"
-                f"{L.labels[b2]}) matches no family")
-        if kind == "box-swapped":
-            return "box", (a, b2, b1)
-        return kind, (a, b1, b2)
-    # comparable side elements: normalize b1 <= b2
-    if L.le(b2, b1):
+    # b1 before b2: by index when incomparable, in the lattice otherwise
+    if b2 < b1 if L.incomparable(b1, b2) else L.le(b2, b1):
         b1, b2 = b2, b1
-    joins_equal = L.join[a][b1] == L.join[a][b2]
-    meets_equal = L.meet[a][b1] == L.meet[a][b2]
-    if joins_equal and meets_equal:
-        raise InconsistentProfile(
-            "equal joins and meets force equal elements in a distributive lattice")
-    if joins_equal:
-        # dual strip configuration: relabel to the standard strip witness
+    family = _family(L, a, b1, b2)
+    if family == "box-swapped":
+        return "box", (a, b2, b1)
+    if family == "strip-dual":
         return "strip", (b1, L.meet[a][b2], a)
-    if meets_equal:
-        return "strip", (a, b1, b2)
-    return "L", (a, b1, b2)
+    return family, (a, b1, b2)
 
 
 # -- typed generators -----------------------------------------------------------
@@ -132,16 +140,15 @@ class TypedSyzygy(NamedTuple):
     witness: tuple
 
 
-FINE_KINDS = ("S1", "S2", "L", "B1", "B2",
-              "G1", "G2", "G3", "G4", "G5", "G6", "G", "D")
+# Every kind with its histogram family, in the order the minimal histogram
+# admits them (betti.typed_minimal_histogram).
+KINDS = {"S1": "strip", "S2": "strip", "L": "L", "B1": "box", "B2": "box",
+         "G1": "G", "G2": "G", "G3": "G", "G4": "G", "G5": "G", "G6": "G",
+         "G": "G", "D": "diamond"}
+FINE_KINDS = tuple(KINDS)
 
-_FAMILY_TO_FINE = {"strip": ("S1", "S2"), "L": ("L",), "box": ("B1", "B2"),
-                   "G1": ("G1",), "G2": ("G2",), "G3": ("G3",), "G4": ("G4",),
-                   "G5": ("G5",), "G6": ("G6",), "G": ("G",), "D": ("D",)}
-
-# the relation profile each incomparable-side kind (B1, B2, G1..G6, G) requires
-_PROFILE_OF_FINE = {fine: bits for bits, family in _INCOMPARABLE_TABLE.items()
-                    for fine in _FAMILY_TO_FINE.get(family, ())}
+# the kinds of strip and box; every other family is the one kind of its name
+_SPLIT = {"strip": ("S1", "S2"), "box": ("B1", "B2")}
 
 # The terms of each shared-element kind on its witness (a, b1, b2), given the
 # join j and meet m: (x, y, v, sign) is sign * x_v * e_{(x, y)}, e_{(x, y)}
@@ -195,53 +202,35 @@ def _require(cond, name):
         raise ConditionViolated(f"witness violates: {name}")
 
 
-def _check_conditions(L, kind, witness):
+def typed_generator(ideal, kind, witness):
+    """The named first-syzygy element of the given kind on the given witness.
+
+    A shared-element witness (a, b1, b2) is accepted when kind is one of the
+    kinds of _family(L, a, b1, b2); a D witness when it is two
+    element-disjoint incomparable pairs.  Raises ConditionViolated otherwise,
+    and NotASyzygy when the result fails phi = 0.
+    """
+    L = ideal.lattice
+    if kind not in KINDS:
+        raise HibiError(f"unknown kind {kind!r}")
     if kind == "D":
         a1, b1, a2, b2 = witness
         _require(len({a1, b1, a2, b2}) == 4, "four distinct elements")
         _require(L.incomparable(a1, b1), "a1 incomparable to b1")
         _require(L.incomparable(a2, b2), "a2 incomparable to b2")
-        return
-    a, b1, b2 = witness
-    j, m = L.join, L.meet
-    _require(L.incomparable(a, b1), "a incomparable to b1")
-    _require(L.incomparable(a, b2), "a incomparable to b2")
-    _require(b1 != b2, "b1 distinct from b2")
-    if kind in ("S1", "S2"):
-        _require(L.le(b1, b2), "b1 below b2")
-        _require(j[a][b1] != j[a][b2], "joins differ")
-        _require(m[a][b1] == m[a][b2], "meets equal")
-        return
-    if kind == "L":
-        _require(L.le(b1, b2), "b1 below b2")
-        _require(j[a][b1] != j[a][b2], "joins differ")
-        _require(m[a][b1] != m[a][b2], "meets differ")
-        return
-    _require(L.incomparable(b1, b2), "b1 incomparable to b2")
-    names = ("b1 vs a|b2", "b1 vs a&b2", "b2 vs a|b1", "b2 vs a&b1")
-    for got, expect, name in zip(_cross_relations(L, a, b1, b2),
-                                 _PROFILE_OF_FINE[kind], names):
-        _require(got == expect, f"{name} relation ({'comparable' if expect else 'incomparable'} expected)")
-
-
-def typed_generator(ideal, kind, witness):
-    """The named first-syzygy element of the given kind on the given witness.
-
-    Raises ConditionViolated when the witness fails the kind's defining
-    relations, and NotASyzygy when the result fails phi = 0.
-    """
-    L = ideal.lattice
-    if kind not in FINE_KINDS:
-        raise HibiError(f"unknown kind {kind!r}")
-    _check_conditions(L, kind, witness)
-    if kind == "D":
-        a1, b1, a2, b2 = witness
         f1 = ideal.generator(a1, b1)
         f2 = ideal.generator(a2, b2)
         i1, i2 = f1.index, f2.index
         row = {(f2.pair, i1): 1, (f2.jm, i1): -1,
                (f1.pair, i2): -1, (f1.jm, i2): 1}
     else:
+        a, b1, b2 = witness
+        family = _family(L, a, b1, b2)
+        if kind not in _SPLIT.get(family, (family,)):
+            labels = ", ".join(L.labels[v] for v in witness)
+            raise ConditionViolated(f"{kind} witness ({labels}) is " + (
+                f"a {family} configuration" if family else
+                "not two diamonds (a, b1), (a, b2) with b2 not below b1"))
         index_of = ideal.index_of
         row = {}
         j = lambda x, y: L.join[x][y]
@@ -261,17 +250,6 @@ def typed_generator(ideal, kind, witness):
     return TypedSyzygy(kind, row, witness)
 
 
-def _family_generators(ideal, family, witness):
-    """The typed generators of a classified family on its witness.
-
-    When an auxiliary pair a formula references collapses to a comparable
-    one, its relation is identically zero and the term drops out; an element
-    that degenerates to zero entirely is omitted.
-    """
-    gens = (typed_generator(ideal, f, witness) for f in _FAMILY_TO_FINE[family])
-    return [t for t in gens if t.row]
-
-
 def iter_typed_generators(ideal):
     """The typed generators of every pair of diamonds, classified and built
     in one pass over the pairs in relation order, each phi-checked where it
@@ -280,7 +258,9 @@ def iter_typed_generators(ideal):
     Each (family, witness) is built once, at its first pair: a strip pair and
     its dual configuration share a witness.  Only shared-element witnesses
     can repeat, so only they enter the seen-set; a D witness is its own pair
-    of relations.
+    of relations.  When an auxiliary pair a formula references collapses to
+    a comparable one, its relation is identically zero and the term drops
+    out; a row left empty is not yielded.
     """
     L = ideal.lattice
     pairs = [r.pair for r in ideal.relations]
@@ -292,7 +272,10 @@ def iter_typed_generators(ideal):
                 if fw in seen:
                     continue
                 seen.add(fw)
-            yield from _family_generators(ideal, family, witness)
+            for kind in _SPLIT.get(family, (family,)):
+                t = typed_generator(ideal, kind, witness)
+                if t.row:
+                    yield t
 
 
 # -- diamond reducibility -----------------------------------------------------
@@ -303,13 +286,32 @@ def diamond_reducible(L, lo, hi):
     combination of the shared-element typed generators.
 
     (lo, hi) must be a comparable pair as Lattice.comparable_pairs lists it:
-    two incomparable pairs with join(lo) <= meet(hi), hence element-disjoint
-    with lo the lower one.  This is not checked.  The pair is called
-    reducible iff some diamond (a, b) bridges it: its meet is an element of
-    lo and its join an element of hi.  That is too generous: on the planar
-    lattices of at most 12 elements it calls 13 pairs reducible whose
-    degree-4 fiber still carries a minimal syzygy
-    (tests/test_betti.py::test_diamond_criteria_pair_by_pair).
+    two incomparable pairs with j = join(lo) <= m = meet(hi), hence
+    element-disjoint with lo the lower one.  This is not checked.
+
+    A bridge of the pair is an incomparable pair (a, b) with its meet in lo
+    and its join in hi; the spine is the set of elements comparable to both
+    j and m.  The pair is called reducible iff some bridge has a or b on the
+    spine.  That is a conjecture, not a theorem: on every comparable pair of
+    the planar lattices of at most 12 elements (587 pairs) it says reducible
+    exactly when the pair's degree-4 fiber has H~_1 = 0
+    (tests/test_betti.py::test_diamond_criteria_pair_by_pair).  The proof
+    would show that a bridge element on the spine is a cone point of that
+    fiber's complex or fills its cycle, and that with no such bridge the
+    cycle survives.  A bridge alone is not enough: 13 of those pairs have a
+    bridge and H~_1 = 1.
+
+    The bridges are looked up in Lattice.diamonds, the incomparable pairs by
+    (meet, join), at the four (x, y) with x in lo and y in hi.
     """
-    diamonds = L.diamonds()
-    return any((x, y) in diamonds for x in lo for y in hi)
+    join, diamonds = L.join, L.diamonds()
+    j, m = join[lo[0]][lo[1]], L.meet[hi[0]][hi[1]]
+    # v is comparable to j exactly when v | j is v or j
+    with_j, with_m = join[j], join[m]
+    for x in lo:
+        for y in hi:
+            for bridge in diamonds.get((x, y), ()):
+                for v in bridge:
+                    if with_j[v] in (v, j) and with_m[v] in (v, m):
+                        return True
+    return False

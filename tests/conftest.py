@@ -262,13 +262,37 @@ def bridged_diamonds():
 
 @pytest.fixture(scope="session")
 def diamond_counterexample():
-    """Ten elements, labels "0".."9": a planar lattice on which the
-    closed-form diamond count (2) falls short of the oracle's degree-4 count
-    (3).  Two of its comparable disjoint diamond pairs have a bridging
-    diamond, so the bridge criterion drops them, yet they still add rank."""
+    """Ten elements, labels "0".."9": the smallest planar lattice on which
+    the bridge criterion (bridge_reducible) is wrong.  Two of its comparable
+    disjoint diamond pairs have a bridging diamond, so that criterion drops
+    them and counts 2 against the oracle's degree-4 count of 3, yet they
+    still add rank: no bridge has an element on the spine, and
+    syzygy.diamond_reducible counts 3."""
     covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (3, 6), (4, 5),
               (5, 7), (5, 8), (6, 7), (7, 9), (8, 9)]
     return from_covers([str(i) for i in range(10)], covers)
+
+
+@pytest.fixture(scope="session")
+def l_overcount():
+    """Fourteen elements, labels "0".."13", k = 4: a planar lattice on which
+    the closed-form L count is too large, 16 against the typed minimal
+    histogram's 14, so planar_formula gives 32 + 16 + 4 + 9 = 61 against the
+    oracle's 50 + 9 = 59.  Its diamond count, 9, is the oracle's degree-4
+    row; the bridge criterion counts 4 there."""
+    covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (3, 7),
+              (4, 6), (5, 7), (6, 8), (6, 9), (7, 8), (7, 10), (8, 11),
+              (8, 12), (9, 11), (10, 12), (11, 13), (12, 13)]
+    return from_covers([str(i) for i in range(14)], covers)
+
+
+def bridge_reducible(L, lo, hi):
+    """The diamond criterion syzygy.diamond_reducible replaced: a comparable
+    pair (lo, hi) reduces when any diamond bridges it, its meet an element
+    of lo and its join one of hi.  It calls 13 pairs of census <= 12
+    reducible whose degree-4 fiber still has H~_1 = 1; tests put it back to
+    reach a disagreement with the oracle."""
+    return any((x, y) in L.diamonds() for x in lo for y in hi)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, overlapping_grids
+from conftest import bridge_reducible, chain, overlapping_grids
 from hibiring import betti, enumerate_distributive, grid, oracle
 from hibiring.betti import (
     box_grid,
@@ -129,29 +129,29 @@ def test_planar_betti_runs_the_oracle_once(stacked_diamonds, count_calls):
     assert not b.oracle.linear
 
 
-def test_diamond_count_against_oracle_to_twelve(census_to_twelve):
-    """On every planar lattice of 2-12 elements the diamond count is at most
-    the oracle's degree-4 count, and falls short only on the ten lattices
-    where the bridge criterion drops a pair that still adds rank.  It is 0
-    exactly when degree 4 is, which is planar_linearity's rule."""
-    short = {}
-    for L in census_to_twelve:
+def test_diamond_count_against_oracle_to_twelve(census_to_twelve,
+                                                l_overcount):
+    """On every planar lattice of 2-12 elements, and on the 14-element
+    l_overcount, the diamond count equals the oracle's degree-4 count, so it
+    is 0 exactly when degree 4 is, which is planar_linearity's rule.  The
+    bridge criterion fell short on ten of those lattices and on
+    l_overcount."""
+    checked = 0
+    for L in census_to_twelve + [l_overcount]:
         if L.n < 2 or not L.is_planar():
             continue
-        nD = n_diamond_planar(L)
         degree4 = graded_betti_oracle(hibi_ideal(L))[-1].minimal_generators
-        assert nD <= degree4
-        assert (nD == 0) == (degree4 == 0)
-        if nD < degree4:
-            short[L.n] = short.get(L.n, 0) + 1
-    assert short == {10: 1, 11: 2, 12: 7}
+        assert n_diamond_planar(L) == degree4
+        checked += 1
+    assert checked == 300
+    assert n_diamond_planar(l_overcount) == 9
 
 
 def _spine_reducible(L, lo, hi):
-    """The conjectured diamond criterion (unproven): the comparable pair
-    (lo, hi) reduces iff some bridge, an incomparable pair (a, b) with its
-    meet in lo and its join in hi, has a or b on the spine, the elements
-    comparable to both join(lo) and meet(hi)."""
+    """The diamond criterion by a scan of every incomparable pair: the
+    comparable pair (lo, hi) reduces iff some bridge, an incomparable pair
+    (a, b) with its meet in lo and its join in hi, has a or b on the spine,
+    the elements comparable to both join(lo) and meet(hi)."""
     j, m = L.join[lo[0]][lo[1]], L.meet[hi[0]][hi[1]]
 
     def on_spine(x):
@@ -163,11 +163,12 @@ def _spine_reducible(L, lo, hi):
 
 def test_diamond_criteria_pair_by_pair(census_to_twelve):
     """Each comparable pair of a planar lattice of 2-12 elements against
-    H~_1 of its own degree-4 fiber, read off S_4 directly.  H~_1 is 0 or 1;
-    the spine criterion is exactly H~_1 = 0, while diamond_reducible calls 13
-    pairs with H~_1 = 1 reducible, the pairs n_diamond_planar misses."""
+    H~_1 of its own degree-4 fiber, read off S_4 directly.  H~_1 is 0 or 1,
+    and diamond_reducible and the spine scan are both exactly H~_1 = 0.  The
+    bridge criterion it replaced calls 13 pairs with H~_1 = 1 reducible, in
+    ten lattices."""
     pairs = positive = 0
-    missed = {}  # lattice size -> pairs diamond_reducible gets wrong
+    missed = {}  # lattice size -> pairs the bridge criterion gets wrong
     lattices = set()
     for L in census_to_twelve:
         if L.n < 2 or not L.is_planar():
@@ -181,8 +182,9 @@ def test_diamond_criteria_pair_by_pair(census_to_twelve):
             fiber = fibers[sum(map(codes.__getitem__, lo + hi))]
             h1 = reduced_h1([set(mono) for mono in fiber])
             assert h1 in (0, 1)
-            assert _spine_reducible(L, lo, hi) == (h1 == 0)
-            if diamond_reducible(L, lo, hi) != (h1 == 0):
+            assert (diamond_reducible(L, lo, hi)
+                    == _spine_reducible(L, lo, hi) == (h1 == 0))
+            if bridge_reducible(L, lo, hi) != (h1 == 0):
                 assert h1 == 1
                 missed[L.n] = missed.get(L.n, 0) + 1
                 lattices.add(L)
@@ -222,18 +224,37 @@ def test_cross_grid_l_type_reported_not_patched(bridged_diamonds):
     assert hist == {"strip": 24, "L": 9, "box": 2, "G": 0, "diamond": 0}
 
 
-def test_diamond_count_counterexample_reported(diamond_counterexample):
-    """On the 10-element lattice the bridge criterion drops diamond pairs
-    that still add rank, so the diamond count is 2 against the oracle's 3.
-    The typed generating set is complete all the same: its greedy minimal
-    set reaches the oracle's 11."""
-    with pytest.raises(OracleMismatch) as exc:
-        planar_betti(hibi_ideal(diamond_counterexample))
-    assert exc.value.breakdown == {"diamond": 2, "oracle": 3}
+def test_diamond_count_counterexample_reported(diamond_counterexample,
+                                               monkeypatch):
+    """On the 10-element lattice the diamond count is the oracle's 3 and the
+    breakdown reaches the oracle's 11.  With the bridge criterion put back,
+    which drops diamond pairs that still add rank, the count is 2 and
+    planar_betti reports the disagreement.  The typed generating set is
+    complete either way: its greedy minimal set reaches the oracle's 11."""
     I = hibi_ideal(diamond_counterexample)
+    b = planar_betti(I)
+    assert (b.nD, b.total) == (3, 11)
+    monkeypatch.setattr(betti, "diamond_reducible", bridge_reducible)
+    with pytest.raises(OracleMismatch) as exc:
+        planar_betti(I)
+    assert exc.value.breakdown == {"diamond": 2, "oracle": 3}
     hist = typed_minimal_histogram(I, iter_typed_generators(I))
     assert hist == {"strip": 6, "L": 2, "box": 0, "G": 0, "diamond": 3}
     assert sum(hist.values()) == first_betti_oracle(I) == 11
+
+
+def test_l_overcount_reported(l_overcount):
+    """On the 14-element lattice the closed-form L count is 16 where the
+    typed minimal histogram keeps 14, and the total disagrees with the
+    oracle; planar_betti reports it rather than reconciling it."""
+    I = hibi_ideal(l_overcount)
+    with pytest.raises(OracleMismatch,
+                       match="^formula total 61 disagrees with oracle 59$"):
+        planar_betti(I)
+    assert planar_formula(l_overcount)[:4] == (32, 16, 4, 9)
+    hist = typed_minimal_histogram(I, iter_typed_generators(I))
+    assert hist == {"strip": 32, "L": 14, "box": 4, "G": 0, "diamond": 9}
+    assert sum(hist.values()) == first_betti_oracle(I) == 59
 
 
 # -- minimal histograms --------------------------------------------------------

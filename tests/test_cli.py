@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bridge_reducible
 from hibiring import (
     Lattice,
     betti,
@@ -369,7 +370,7 @@ def test_linearity_verdicts(capsys, lattice_file, count_calls,
 
 
 @pytest.mark.parametrize("fixture, by_degree", [
-    ("diamond_counterexample", {"3": 8, "4": 3}),
+    ("l_overcount", {"3": 50, "4": 9}),
     ("bridged_diamonds", {"3": 35, "4": 0}),
 ])
 def test_betti_file_disagreement_reported(capsys, lattice_file, count_calls,
@@ -502,9 +503,13 @@ def test_census_runs_the_oracle_once_per_planar_lattice(capsys, count_calls):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_census_failure_replays_with_file(capsys, lattice_file, fmt):
-    """The one failing row of census <= 10 carries its lattice, as JSON in
-    either format, and --file replays it to the same disagreement."""
+def test_census_failure_replays_with_file(capsys, lattice_file, monkeypatch,
+                                          fmt):
+    """A failing census row carries its lattice, as JSON in either format,
+    and --file replays it to the same disagreement.  Census <= 10 has no
+    failing row, so the bridge criterion is put back: it fails one row, the
+    diamond count 2 against the oracle's 3."""
+    monkeypatch.setattr(betti, "diamond_reducible", bridge_reducible)
     code, out, _ = run(capsys, "census", "--max-elements", "10",
                        "--format", fmt)
     assert code == 2

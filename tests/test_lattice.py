@@ -125,7 +125,8 @@ def test_grid_1_2_layout():
     assert g.labels == ("1", "2", "3", "4", "5", "6")
     assert g.covers == ((0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5))
     assert g.incomparable_pairs() == [(1, 2), (1, 4), (3, 4)]
-    assert g.diamonds() == {(0, 3), (0, 5), (2, 5)}
+    assert g.diamonds() == {(0, 3): ((1, 2),), (0, 5): ((1, 4),),
+                            (2, 5): ((3, 4),)}
     assert g.comparable_pairs() == ()
 
 

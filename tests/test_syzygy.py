@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from hibiring.ideal import hibi_ideal
 from hibiring.oracle import RowSpan, fiber_codes, kernel_dim
 from hibiring.polynomials import mono_mul
 from hibiring.syzygy import (
-    _family_generators,
     apply_phi,
     classify_full,
     diamond_reducible,
@@ -125,14 +125,73 @@ def test_shared_corner_families(shared_corner, shared_corner_dual):
     assert apply_phi(g4.row, hibi_ideal(shared_corner_dual)) == {}
 
 
-def test_condition_violated():
+def test_condition_violated(shared_corner):
+    """The message names the kind, the witness labels and the configuration
+    the witness has, or says it is not two diamonds on a."""
     I = hibi_ideal(grid(1, 2))
-    with pytest.raises(ConditionViolated):
+    not_two = r"is not two diamonds \(a, b1\), \(a, b2\) with b2 not below b1$"
+    with pytest.raises(ConditionViolated,
+                       match=r"^S1 witness \(2, 5, 3\) " + not_two):
         typed_generator(I, "S1", (1, 4, 2))  # needs b1 below b2
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(ConditionViolated,
+                       match=r"^L witness \(1, 2, 3\) " + not_two):
+        typed_generator(I, "L", (0, 1, 2))
+    with pytest.raises(ConditionViolated, match=r"^G1 witness \(2, 3, 5\) "
+                                                r"is a strip configuration$"):
         typed_generator(I, "G1", (1, 2, 4))
-    with pytest.raises(ConditionViolated):
-        typed_generator(I, "D", (1, 2, 1, 4))  # not four distinct elements
+    with pytest.raises(ConditionViolated,
+                       match="^witness violates: four distinct elements$"):
+        typed_generator(I, "D", (1, 2, 1, 4))
+    # read the other way round, a G3 witness is a G6 configuration
+    with pytest.raises(ConditionViolated, match=r"^G3 witness \(7, 9, 5\) "
+                                                r"is a G6 configuration$"):
+        typed_generator(hibi_ideal(shared_corner), "G3", (7, 9, 5))
+
+
+# The conditions each shared-element kind puts on its witness (a, b1, b2),
+# written out kind by kind as a reference for typed_generator, which reads
+# them off the family of the witness.  The profile bits are (b1 <= a|b2,
+# b1 >= a&b2, b2 <= a|b1, b2 >= a&b1).
+_REFERENCE_PROFILE = {
+    "B1": (True, True, False, False), "B2": (True, True, False, False),
+    "G1": (False, True, False, True), "G2": (True, False, True, False),
+    "G3": (True, False, False, False), "G4": (False, True, False, False),
+    "G5": (False, False, False, True), "G6": (False, False, True, False),
+    "G": (False, False, False, False)}
+
+
+def _reference_conditions(L, kind, a, b1, b2):
+    j, m = L.join, L.meet
+    if not (L.incomparable(a, b1) and L.incomparable(a, b2) and b1 != b2):
+        return False
+    if kind in ("S1", "S2", "L"):
+        return (L.le(b1, b2) and j[a][b1] != j[a][b2]
+                and (m[a][b1] == m[a][b2]) == (kind != "L"))
+    return L.incomparable(b1, b2) and _REFERENCE_PROFILE[kind] == (
+        L.le(b1, j[a][b2]), L.le(m[a][b2], b1),
+        L.le(b2, j[a][b1]), L.le(m[a][b1], b2))
+
+
+def test_typed_generator_accepts_as_the_reference_conditions(
+        shared_corner, shared_corner_dual):
+    """typed_generator accepts a shared-element witness exactly when the
+    kind's own conditions hold, on every (kind, witness) of census <= 8 and
+    grid 2x3 (165,252 cases, 117 accepted) and of the shared-corner lattice
+    and its dual, which have every G kind (52,728 cases, 176 accepted)."""
+    cases = accepted = 0
+    for L in CENSUS + [grid(2, 3), shared_corner, shared_corner_dual]:
+        I = hibi_ideal(L)
+        for kind in ("S1", "S2", "L", *_REFERENCE_PROFILE):
+            for w in product(range(L.n), repeat=3):
+                try:
+                    typed_generator(I, kind, w)
+                    ok = True
+                except ConditionViolated:
+                    ok = False
+                assert ok == _reference_conditions(L, kind, *w), (kind, w)
+                cases += 1
+                accepted += ok
+    assert (cases, accepted) == (165252 + 52728, 117 + 176)
 
 
 def test_unknown_kind():
@@ -246,16 +305,12 @@ def test_strip_pair_matches_worked_example():
 def test_degenerate_terms_drop_out():
     # on some lattices a formula references a comparable auxiliary pair; the
     # corresponding relation is zero and the element still satisfies phi = 0,
-    # never raising through _family_generators
+    # and a row left empty is not yielded
     for L in CENSUS:
         I = hibi_ideal(L)
-        pairs = [r.pair for r in I.relations]
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                family = classify_full(L, pairs[i], pairs[j])
-                for t in _family_generators(I, *family):
-                    assert t.row  # empty elements are omitted
-                    assert apply_phi(t.row, I) == {}
+        for t in iter_typed_generators(I):
+            assert t.row
+            assert apply_phi(t.row, I) == {}
 
 
 # -- diamond reducibility -----------------------------------------------------
@@ -270,15 +325,20 @@ def test_diamond_reducible(stacked_diamonds, bridged_diamonds):
 
 
 def test_diamond_reducible_matches_bridge_scan(census_to_twelve):
-    """The bridge lookup agrees with a scan of every incomparable pair for
-    its meet in the lower diamond and its join in the upper one, on every
-    comparable pair of the census up to 12 elements."""
+    """The indexed lookup agrees with a scan of every incomparable pair for a
+    bridge, its meet in the lower diamond and its join in the upper one, with
+    an element on the spine, on every comparable pair of the census up to 12
+    elements.  The spine, the elements comparable to both j = join(lo) and
+    m = meet(hi), is written here as those below j, above m or in [j, m]."""
     checked = 0
     for L in census_to_twelve:
         pairs = L.incomparable_pairs()
         for lo, hi in L.comparable_pairs():
+            j, m = L.join[lo[0]][lo[1]], L.meet[hi[0]][hi[1]]
+            spine = {v for v in range(L.n)
+                     if L.le(v, j) or L.le(m, v) or L.le(j, v) and L.le(v, m)}
             scan = any(L.meet[a][b] in lo and L.join[a][b] in hi
-                       for a, b in pairs)
+                       and (a in spine or b in spine) for a, b in pairs)
             assert diamond_reducible(L, lo, hi) == scan
             checked += 1
     assert checked == 708
