@@ -206,7 +206,7 @@ def typed_minimal_histogram(ideal, gens):
     kernel_b (oracle.fiber_kernels), the dimension of all syzygies of
     multidegree b: every row is a phi-checked syzygy of its fiber, so once
     the span is that large any further row there is provably dependent and is
-    not eliminated.  reduced_h1 stops at its cycle count by the same argument.
+    not eliminated.  shape_h1 stops at its cycle count by the same argument.
 
     The degree-4 count is read from the oracle rather than eliminated.  D is
     the only typed kind above degree 3, and by the graded Nakayama lemma
@@ -219,14 +219,14 @@ def typed_minimal_histogram(ideal, gens):
     hist = dict.fromkeys(KINDS.values(), 0)
     L = ideal.lattice
     pairs = [r.pair for r in ideal.relations]
-    codes = fiber_codes(L, 3)
+    codes = fiber_codes(L)
 
     def fiber(row):
         mu, i = next(iter(row))
         a, b = pairs[i]
         return sum(map(codes.__getitem__, mu)) + codes[a] + codes[b]
 
-    kernels = fiber_kernels(ideal, 3)
+    kernels = fiber_kernels(ideal)
     spans = defaultdict(RowSpan)
     for t in gens:
         if len(next(iter(t.row))[0]) == 2:
@@ -238,7 +238,7 @@ def typed_minimal_histogram(ideal, gens):
     if short is not None:
         rank = sum(span.rank for span in spans.values())
         kernel = sum(kernels.values())
-        chain = ", ".join(L.labels[v] for v in standard_monomial(L, 3, short))
+        chain = ", ".join(L.labels[v] for v in standard_monomial(L, short))
         raise OracleMismatch(
             f"typed degree-3 rank {rank} disagrees with oracle kernel "
             f"{kernel}; first short fiber: that of ({chain}), typed rank "
@@ -278,5 +278,6 @@ def planar_linearity(L):
     """
     nD = n_diamond_planar(L)
     noun = "pair" if nD == 1 else "pairs"
-    return LinearityVerdict(k_of(L), "nonlinear" if nD else "linear",
-                            f"{nD} unbridged comparable diamond {noun}")
+    return LinearityVerdict(
+        k_of(L), "nonlinear" if nD else "linear",
+        f"{nD} comparable diamond {noun} with no bridge on the spine")

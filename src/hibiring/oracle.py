@@ -21,19 +21,24 @@ boundaries reduced mod 2 reach #cycles, H~_1 = 0 over the rationals.  Only the
 other fibers, a positive H~_1 or 2-torsion (where the two ranks differ), go
 on to fraction-free integer elimination, so every count is exact (over the
 rationals).  On grid 4x5 the mod-2 bound settles all 141 fiber shapes
-graded_betti_row meets, so no exact elimination runs there.  A fiber with
-one support, or whose supports share a vertex, is a cone and contributes 0.
+graded_betti_row meets, so no exact elimination runs there.
+
+Every multidegree is written as one integer (fiber_codes), a digit per
+join-irreducible in base TOP_DEGREE + 1.  No digit of a monomial of degree
+at most TOP_DEGREE reaches the base, so one code keys the degree-3 fibers
+(fiber_kernels, and the typed histogram in betti) and the degree-4 ones.
 
 H~_1 is invariant under a bijection of the vertices, so it is computed once
 per fiber shape (face_shape): the fiber's vertices relabelled 0..k-1 in
 order, each support written as a bit mask, and the distinct masks sorted.
 Equal shapes are isomorphic complexes with equal H~_1; two isomorphic fibers
-whose shapes differ only cost one more computation.  shape_h1 memoises H~_1
-by shape for the life of the process.  The memo stays small because a shape
-is a local configuration of the lattice (the supports of one multidegree),
-not the lattice itself: the 525 fibers that graded_betti_row examines on
-grid 4x5 have 141 shapes, and the 341 lattices of the census up to 12
-elements have 61 between them.
+whose shapes differ only cost one more computation.  shape_h1 computes H~_1
+on the masks themselves and memoises it by shape for the life of the
+process; reduced_h1 puts a complex given by vertex sets through the same
+path.  The memo stays small because a shape is a local configuration of the
+lattice (the supports of one multidegree), not the lattice itself: the 525
+fibers that graded_betti_row examines on grid 4x5 have 141 shapes, and the
+341 lattices of the census up to 12 elements have 61 between them.
 
 The presentation F -> I sends the column (mu, i), a monomial mu of degree d-2
 times the i-th relation, to mu * relation_i.  In degree d it maps onto I_d,
@@ -89,6 +94,15 @@ enumerated.  Each such fiber holds at least four monomials: for a
 comparable pair (lo, hi) write lo' = (meet lo, join lo) and likewise hi';
 then lo hi, lo' hi, lo hi' and lo' hi' are four distinct monomials of one
 multidegree.
+
+No such fiber is a cone.  Write lo = (a, b) and hi = (c, e).  The supports
+of lo hi and lo' hi' are {a, b, c, e} and {a&b, a|b, c&e, c|e}.  Since a
+and b are incomparable, neither equals a&b or a|b, and both lie strictly
+below a|b <= c&e; likewise c and e lie strictly above c&e >= a|b.  So the
+two supports are disjoint, and no vertex lies in every face of Delta_b.
+shape_h1 has no cone shortcut to take here, and on a cone its general path
+returns 0 anyway: a cone is contractible, so its boundaries fill the cycles
+mod 2.
 
 Degree 3 needs no fiber at all.  The relation of {a, b} has the leading
 monomial x_a x_b, so the relations have pairwise distinct leading monomials
@@ -169,25 +183,27 @@ class RowSpan:
 # -- fibers --------------------------------------------------------------------
 
 
-def fiber_codes(lattice, d):
-    """The multidegree of each variable as one integer, for degree d.
+def fiber_codes(lattice):
+    """The multidegree of each variable as one integer.
 
-    Element a gets the sum of (d+1)**k over the k-th join-irreducible j <= a.
-    A degree-d monomial's fiber key is the sum of the codes of its variables,
-    with multiplicity; no join-irreducible is counted more than d times, so
-    the sum never carries and two degree-d monomials share a key exactly when
-    they share a fiber.
+    Element a gets the sum of (TOP_DEGREE+1)**k over the k-th
+    join-irreducible j <= a.  A monomial's fiber key is the sum of the codes
+    of its variables, with multiplicity.  In a degree up to TOP_DEGREE no
+    join-irreducible is counted more than TOP_DEGREE times, so the sum never
+    carries, and two monomials of one such degree share a key exactly when
+    they share a fiber.  One code serves degrees 3 and 4 alike.
     """
+    base = TOP_DEGREE + 1
     ji = sorted(lattice.join_irreducibles())
-    return [sum((d + 1) ** k for k, j in enumerate(ji) if lattice.le(j, a))
+    return [sum(base ** k for k, j in enumerate(ji) if lattice.le(j, a))
             for a in range(lattice.n)]
 
 
-def _monomials_by_code(codes, d):
-    """The degree-d monomials, as sorted tuples of variables, grouped by the
+def _cubics_by_code(codes):
+    """The degree-3 monomials, as sorted tuples of variables, grouped by the
     sum of their variables' codes."""
     table = {}
-    for mono in combinations_with_replacement(range(len(codes)), d):
+    for mono in combinations_with_replacement(range(len(codes)), 3):
         table.setdefault(sum(map(codes.__getitem__, mono)), []).append(mono)
     return table
 
@@ -196,77 +212,21 @@ def _comparable_pair_fibers(lattice):
     """The degree-TOP_DEGREE fibers of the comparable pairs, the only ones
     that can carry a minimal first syzygy (module docstring).
 
-    The codes are in base TOP_DEGREE + 1, so a sum of four codes never
-    carries.  A degree-4 monomial of code c with least variable y is y times
-    a degree-3 monomial of code c - code(y) with no variable below y, so one
+    A degree-4 monomial of code c with least variable y is y times a
+    degree-3 monomial of code c - code(y) with no variable below y, so one
     table of the degree-3 monomials builds every fiber whole.  With no
     comparable pair there is no fiber, and the table is not built.
     """
     comparable = lattice.comparable_pairs()
     if not comparable:
         return []
-    codes = fiber_codes(lattice, TOP_DEGREE)
-    cubics = _monomials_by_code(codes, 3)
+    codes = fiber_codes(lattice)
+    cubics = _cubics_by_code(codes)
     pairs = {codes[a] + codes[b] + codes[c] + codes[e]
              for (a, b), (c, e) in comparable}
     return [[(y,) + rest for y in range(lattice.n)
              for rest in cubics.get(code - codes[y], ()) if rest[0] >= y]
             for code in pairs]
-
-
-def reduced_h1(faces):
-    """dim H~_1, over the rationals, of the simplicial complex generated by
-    the given vertex sets.
-
-    H~_1 = cycles - rank d2, where cycles = dim ker d1 is the cycle space of
-    the 1-skeleton and d2 maps triangles to edges.  Since d1 d2 = 0,
-    rank_Q d2 <= cycles; since a minor that is nonzero mod 2 is nonzero,
-    rank_F2 d2 <= rank_Q d2.  So the boundaries are reduced mod 2 first, and
-    when that rank reaches cycles, H~_1 = 0.  Otherwise the exact rank comes
-    from RowSpan, which covers a positive H~_1 and 2-torsion alike.
-    """
-    faces = set(map(frozenset, faces))
-    if frozenset.intersection(*faces):
-        return 0  # a cone is contractible
-    edges, triangles, components = set(), set(), []
-    for face in faces:
-        edges.update(combinations(sorted(face), 2))
-        triangles.update(combinations(sorted(face), 3))
-        touching = [c for c in components if not c.isdisjoint(face)]
-        components = [c for c in components if c.isdisjoint(face)]
-        components.append(face.union(*touching))
-    cycles = len(edges) - len(frozenset.union(*faces)) + len(components)
-    if _boundaries_fill_cycles_mod2(edges, triangles, cycles):
-        return 0
-    boundaries = RowSpan()
-    for u, v, w in triangles:
-        if boundaries.rank == cycles:
-            break
-        boundaries.add({(v, w): 1, (u, w): -1, (u, v): 1})
-    return cycles - boundaries.rank
-
-
-def _boundaries_fill_cycles_mod2(edges, triangles, cycles):
-    """True when the triangle boundaries, reduced mod 2, reach rank cycles.
-
-    Each boundary is an int bit mask over the edges, and a row is reduced by
-    XOR against the pivot of its lowest set bit.  A True settles H~_1 = 0 over
-    the rationals (see reduced_h1); a False settles nothing.
-    """
-    bit = {e: 1 << k for k, e in enumerate(edges)}
-    pivots = {}  # lowest set bit -> row
-    for u, v, w in triangles:
-        if len(pivots) == cycles:
-            break
-        row = bit[v, w] | bit[u, w] | bit[u, v]
-        while row:
-            low = row & -row
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = row
-                break
-            row ^= pivot
-    return len(pivots) == cycles
 
 
 def face_shape(faces):
@@ -279,16 +239,67 @@ def face_shape(faces):
                          for face in faces}))
 
 
-def shape_faces(shape):
-    """The vertex sets encoded by a shape's bit masks."""
-    return [{k for k in range(mask.bit_length()) if mask >> k & 1}
-            for mask in shape]
-
-
 @cache
 def shape_h1(shape):
-    """reduced_h1 of the complex with the given shape, once per shape."""
-    return reduced_h1(shape_faces(shape))
+    """dim H~_1, over the rationals, of the simplicial complex generated by
+    the faces of a shape (face_shape), computed on its bit masks.
+
+    An edge is the mask of its two vertices, a triangle the tuple of its
+    three vertex bits, lowest first, and a component the mask of its
+    vertices.  H~_1 = cycles - rank d2, where d2 maps triangles to edges and
+    cycles = dim ker d1 is the cycle space of the 1-skeleton: #edges less the
+    #vertices - #components edges of a spanning forest.  Since d1 d2 = 0,
+    rank_Q d2 <= cycles; since a minor that is nonzero mod 2 is nonzero,
+    rank_F2 d2 <= rank_Q d2.  So the boundaries are reduced mod 2 first, and
+    when that rank reaches cycles, H~_1 = 0.  Otherwise the exact rank comes
+    from RowSpan, which covers a positive H~_1 and 2-torsion alike.
+    """
+    edges, triangles, components = set(), set(), []
+    for face in shape:
+        bits = [1 << k for k in range(face.bit_length()) if face >> k & 1]
+        edges.update(map(sum, combinations(bits, 2)))
+        triangles.update(combinations(bits, 3))
+        touching = [c for c in components if c & face]
+        components = [c for c in components if not c & face]
+        components.append(face | sum(touching))  # components are disjoint
+    cycles = len(edges) - sum(c.bit_count() - 1 for c in components)
+    if _boundaries_fill_cycles_mod2(edges, triangles, cycles):
+        return 0
+    boundaries = RowSpan()
+    for u, v, w in triangles:
+        if boundaries.rank == cycles:
+            break
+        boundaries.add({v | w: 1, u | w: -1, u | v: 1})
+    return cycles - boundaries.rank
+
+
+def _boundaries_fill_cycles_mod2(edges, triangles, cycles):
+    """True when the triangle boundaries, reduced mod 2, reach rank cycles.
+
+    Each boundary is an int bit mask over the edges, and a row is reduced by
+    XOR against the pivot of its lowest set bit.  A True settles H~_1 = 0 over
+    the rationals (see shape_h1); a False settles nothing.
+    """
+    bit = {e: 1 << k for k, e in enumerate(edges)}
+    pivots = {}  # lowest set bit -> row
+    for u, v, w in triangles:
+        if len(pivots) == cycles:
+            break
+        row = bit[v | w] | bit[u | w] | bit[u | v]
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots) == cycles
+
+
+def reduced_h1(faces):
+    """dim H~_1, over the rationals, of the simplicial complex generated by
+    the given vertex sets: shape_h1 of their face_shape."""
+    return shape_h1(face_shape(faces))
 
 
 def multichains(lattice, d):
@@ -349,37 +360,36 @@ def is_linear_first_syzygy(ideal):
 # -- per-fiber kernels -------------------------------------------------------
 
 
-def fiber_kernels(ideal, d):
+def fiber_kernels(ideal):
     """The dimension kernel_b of the syzygies of multidegree b, for every
-    degree-d fiber b, keyed by the fiber's code (fiber_codes(lattice, d)
-    summed over any monomial of the fiber).
+    degree-3 fiber b, keyed by the fiber's code (fiber_codes summed over any
+    monomial of the fiber).
 
     F_b -> I_b is onto and R_b is one-dimensional, so by rank-nullity
     kernel_b = columns_b - |fiber_b| + 1, where columns_b counts the columns
-    (mu, i) of multidegree b.  Summed over b this is kernel_dim(ideal, d).
+    (v, i), a variable times relation i, of multidegree b.  Summed over b
+    this is kernel_dim(ideal, 3).
     """
-    L = ideal.lattice
-    codes = fiber_codes(L, d)
-    shifts = [sum(map(codes.__getitem__, mu))
-              for mu in combinations_with_replacement(range(L.n), d - 2)]
-    columns = Counter(codes[a] + codes[b] + s
+    codes = fiber_codes(ideal.lattice)
+    columns = Counter(codes[a] + codes[b] + shift
                       for a, b in (r.pair for r in ideal.relations)
-                      for s in shifts)
+                      for shift in codes)
     return {code: columns[code] - len(fiber) + 1
-            for code, fiber in _monomials_by_code(codes, d).items()}
+            for code, fiber in _cubics_by_code(codes).items()}
 
 
-def standard_monomial(lattice, d, code):
-    """The standard monomial of the degree-d fiber with the given code: the
-    one chain of elements, bottom first, whose codes sum to it.  The k-th
-    join-irreducible occurs in it as often as code's k-th digit in base d+1
-    says, so the t-th element from the top holds the join-irreducibles of
-    digit at least t."""
-    codes = fiber_codes(lattice, d)
+def standard_monomial(lattice, code):
+    """The standard monomial of the degree-3 fiber with the given code: the
+    one chain of three elements, bottom first, whose codes sum to it.  The
+    k-th join-irreducible occurs in it as often as code's k-th digit in base
+    TOP_DEGREE + 1 says, so the t-th element from the top holds the
+    join-irreducibles of digit at least t."""
+    base = TOP_DEGREE + 1
+    codes = fiber_codes(lattice)
     digits = []
     while code:
-        code, digit = divmod(code, d + 1)
+        code, digit = divmod(code, base)
         digits.append(digit)
-    return tuple(codes.index(sum((d + 1) ** k for k, digit in enumerate(digits)
+    return tuple(codes.index(sum(base ** k for k, digit in enumerate(digits)
                                  if digit >= t))
-                 for t in range(d, 0, -1))
+                 for t in range(3, 0, -1))

@@ -260,7 +260,20 @@ def iter_typed_generators(ideal):
     can repeat, so only they enter the seen-set; a D witness is its own pair
     of relations.  When an auxiliary pair a formula references collapses to
     a comparable one, its relation is identically zero and the term drops
-    out; a row left empty is not yielded.
+    out.
+
+    No row comes out empty.  A D row has four distinct nonzero entries: its
+    two relations differ, and each relation's pair differs from its jm.
+    Every shared-element kind in _TERMS has one term on the relation of
+    (a, b2), a pair of incomparable elements since the witness is two
+    diamonds on a, so that term never collapses.  No other term of the kind
+    is on that relation: every other term's pair is (a, b1) or (b1, b2), or
+    holds an element that is none of a, b1, b2.  Such an element is a | b_k
+    or a & b_k, which is not a, since b_k and a are incomparable, and no
+    b_i, since a | b_k = b_i would put a <= b_i and a & b_k = b_i would put
+    b_i <= a.  Or it is b1 & b2, in B2: not b1 or b2, since a box has b1
+    and b2 incomparable, and not a, which is incomparable to b1.  So the
+    coefficient of that term survives.
     """
     L = ideal.lattice
     pairs = [r.pair for r in ideal.relations]
@@ -273,9 +286,7 @@ def iter_typed_generators(ideal):
                     continue
                 seen.add(fw)
             for kind in _SPLIT.get(family, (family,)):
-                t = typed_generator(ideal, kind, witness)
-                if t.row:
-                    yield t
+                yield typed_generator(ideal, kind, witness)
 
 
 # -- diamond reducibility -----------------------------------------------------
@@ -296,10 +307,10 @@ def diamond_reducible(L, lo, hi):
     the planar lattices of at most 12 elements (587 pairs) it says reducible
     exactly when the pair's degree-4 fiber has H~_1 = 0
     (tests/test_betti.py::test_diamond_criteria_pair_by_pair).  The proof
-    would show that a bridge element on the spine is a cone point of that
-    fiber's complex or fills its cycle, and that with no such bridge the
-    cycle survives.  A bridge alone is not enough: 13 of those pairs have a
-    bridge and H~_1 = 1.
+    would show that a bridge element on the spine fills that fiber's cycle
+    (the fiber's complex is never a cone: oracle module docstring), and that
+    with no such bridge the cycle survives.  A bridge alone is not enough:
+    13 of those pairs have a bridge and H~_1 = 1.
 
     The bridges are looked up in Lattice.diamonds, the incomparable pairs by
     (meet, join), at the four (x, y) with x in lo and y in hi.

@@ -173,7 +173,7 @@ def test_diamond_criteria_pair_by_pair(census_to_twelve):
     for L in census_to_twelve:
         if L.n < 2 or not L.is_planar():
             continue
-        codes = fiber_codes(L, 4)
+        codes = fiber_codes(L)
         fibers = {}
         for mono in combinations_with_replacement(range(L.n), 4):
             fibers.setdefault(sum(map(codes.__getitem__, mono)), []).append(
@@ -374,7 +374,7 @@ def test_linearity_k_zero_and_one():
 def test_linearity_stacked(stacked_diamonds):
     v = planar_linearity(stacked_diamonds)
     assert v.k == 2 and v.verdict == "nonlinear"
-    assert v.reason == "1 unbridged comparable diamond pair"
+    assert v.reason == "1 comparable diamond pair with no bridge on the spine"
 
 
 def test_linearity_overlapping_grids():

@@ -25,7 +25,7 @@ GOLDEN = [
     ("syzygy --grid 4 4 --verify --format json", 0,
      "da45ccc595b5eb468b2bcb183f5510ca6206b138fdebe22af407e42dacf7b664"),
     ("linearity --grid 6 6 --verify", 0,
-     "0b0f08b8dcd3a253ff84e887526e7b78e85de7810ebdb34b1532a35657c6e4c0"),
+     "31df379a2af721150632f9b0f07bb9c9f52b27876c0465d5e3ca04f93cea031c"),
     ("betti --file {diamond_counterexample} --mode both --format json", 0,
      "0e2877d568db02365d33e0d70017f4b9ea6092ecd18aa627c3fd1c36cd741b44"),
     ("betti --file {bridged_diamonds} --mode formula", 0,

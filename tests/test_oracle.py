@@ -20,7 +20,6 @@ from hibiring.oracle import (
     kernel_dim,
     multichains,
     reduced_h1,
-    shape_faces,
     shape_h1,
     standard_monomial,
 )
@@ -100,26 +99,24 @@ def test_kernel_dim_euler_formula(stacked_diamonds):
 
 def test_fiber_kernels_sum_to_kernel_dim(stacked_diamonds):
     """Per-fiber kernel dimensions are nonnegative and sum to the
-    rank-nullity kernel dimension in degrees 3 and 4."""
+    rank-nullity kernel dimension of degree 3."""
     lattices = [grid(2, 3), grid(3, 3), stacked_diamonds]
     lattices += enumerate_distributive(9)
     for L in lattices:
         I = hibi_ideal(L)
-        for d in (3, 4):
-            kernels = fiber_kernels(I, d)
-            assert min(kernels.values()) >= 0
-            assert sum(kernels.values()) == kernel_dim(I, d)
+        kernels = fiber_kernels(I)
+        assert min(kernels.values()) >= 0
+        assert sum(kernels.values()) == kernel_dim(I, 3)
 
 
 def test_standard_monomial_is_the_chain_of_its_fiber(stacked_diamonds):
     for L in [grid(2, 3), stacked_diamonds, overlapping_grids(3, 1, 2, 4)]:
-        for d in (3, 4):
-            codes = fiber_codes(L, d)
-            for mono in combinations_with_replacement(range(L.n), d):
-                code = sum(codes[v] for v in mono)
-                chain = standard_monomial(L, d, code)
-                assert sum(codes[v] for v in chain) == code
-                assert all(L.le(u, v) for u, v in zip(chain, chain[1:]))
+        codes = fiber_codes(L)
+        for mono in combinations_with_replacement(range(L.n), 3):
+            code = sum(codes[v] for v in mono)
+            chain = standard_monomial(L, code)
+            assert sum(codes[v] for v in chain) == code
+            assert all(L.le(u, v) for u, v in zip(chain, chain[1:]))
 
 
 def test_reduced_h1_small_complexes():
@@ -177,6 +174,7 @@ def test_rp2_falls_back_to_exact_rank(count_calls):
     d1, d2 = _boundary_rows(RP2)
     assert len(d1) - RowSpan(d1).rank == 10
     assert _rank_mod2(d2) == 9 and RowSpan(d2).rank == 10
+    shape_h1.cache_clear()
     exact = count_calls(oracle, "RowSpan")
     assert reduced_h1(RP2) == 0
     assert len(exact) == 1
@@ -186,6 +184,7 @@ def test_mod2_bound_settles_a_disk(count_calls):
     """A strip of four triangles with no common vertex: its boundaries are
     independent mod 2, so H~_1 = 0 with no exact elimination."""
     strip = [{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}]
+    shape_h1.cache_clear()
     exact = count_calls(oracle, "RowSpan")
     assert reduced_h1(strip) == 0
     assert exact == []
@@ -193,11 +192,17 @@ def test_mod2_bound_settles_a_disk(count_calls):
     assert len(exact) == 1
 
 
+def _faces(shape):
+    """The vertex sets encoded by a shape's bit masks."""
+    return [{k for k in range(mask.bit_length()) if mask >> k & 1}
+            for mask in shape]
+
+
 def _shapes(L, degrees):
     """The shapes of the fibers of more than two monomials."""
+    codes = fiber_codes(L)
     shapes = set()
     for d in degrees:
-        codes = fiber_codes(L, d)
         fibers = {}
         for mono in combinations_with_replacement(range(L.n), d):
             fibers.setdefault(sum(codes[v] for v in mono), []).append(mono)
@@ -205,8 +210,8 @@ def _shapes(L, degrees):
     return shapes
 
 
-def test_reduced_h1_matches_exact_reference():
-    """reduced_h1 against full exact ranks on every fiber shape of degrees 3
+def test_shape_h1_matches_exact_reference():
+    """shape_h1 against full exact ranks on every fiber shape of degrees 3
     and 4 of the census up to 10 elements (212 shapes, 29 with H~_1 > 0) and
     of grid 4x5 (567 shapes, 28 positive)."""
     shapes = set()
@@ -214,9 +219,8 @@ def test_reduced_h1_matches_exact_reference():
         shapes |= _shapes(L, (3, 4))
     positive = 0
     for shape in shapes:
-        faces = shape_faces(shape)
-        h1 = reduced_h1(faces)
-        assert h1 == _reference_h1(faces)
+        h1 = shape_h1(shape)
+        assert h1 == _reference_h1(_faces(shape))
         positive += h1 > 0
     assert (len(shapes), positive) == (718, 48)
 
@@ -228,11 +232,11 @@ complexes = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
 @given(complexes, st.data())
 @settings(max_examples=200, deadline=None)
 def test_shape_is_sound(faces, data):
-    """A shape decodes to a complex with the same H~_1, and an
-    order-preserving relabelling of the vertices keeps the shape."""
+    """H~_1 computed on a complex's shape is its H~_1 by exact ranks on the
+    vertex sets, and an order-preserving relabelling of the vertices keeps
+    the shape."""
     shape = face_shape(faces)
-    assert reduced_h1(shape_faces(shape)) == reduced_h1(faces)
-    assert shape_h1(shape) == reduced_h1(faces)
+    assert shape_h1(shape) == _reference_h1(faces)
     vertices = sorted(set().union(*faces))
     labels = sorted(data.draw(st.sets(st.integers(0, 40),
                                       min_size=len(vertices),
@@ -243,8 +247,11 @@ def test_shape_is_sound(faces, data):
 
 def _reference_fibers(L, d):
     """Every degree-d fiber, by enumerating S_d: lists of monomials given as
-    sorted tuples of variables."""
-    codes = fiber_codes(L, d)
+    sorted tuples of variables, keyed by multidegree codes in base d + 1,
+    which a degree-d sum never carries past."""
+    ji = sorted(L.join_irreducibles())
+    codes = [sum((d + 1) ** k for k, j in enumerate(ji) if L.le(j, a))
+             for a in range(L.n)]
     fibers = {}
     for mono in combinations_with_replacement(range(L.n), d):
         fibers.setdefault(sum(codes[v] for v in mono), []).append(mono)
@@ -252,9 +259,9 @@ def _reference_fibers(L, d):
 
 
 def _reference_row(ideal, d):
-    """graded_betti_row without shapes, skips or the initial-ideal bound:
-    reduced_h1 of every degree-d fiber."""
-    minimal = sum(reduced_h1([set(m) for m in f])
+    """graded_betti_row without shapes, memo, mod-2 bound or the
+    initial-ideal bound: H~_1 by exact ranks of every degree-d fiber."""
+    minimal = sum(_reference_h1([set(m) for m in f])
                   for f in _reference_fibers(ideal.lattice, d))
     kernel = kernel_dim(ideal, d)
     return GradedBettiRow(d, kernel, kernel - minimal, minimal)
@@ -336,14 +343,15 @@ def test_multichains_count_the_fibers():
             assert multichains(L, d) == len(_reference_fibers(L, d))
 
 
-def test_oracle_computes_h1_once_per_shape(count_calls):
+def test_oracle_computes_h1_once_per_shape():
     """On grid 4x5 the 525 comparable-pair fibers of degree 4 have 141
-    shapes, and the degree-3 row computes no H~_1; one reduced_h1 per fiber
-    would make 525 calls, and one per fiber of all of S_3 and S_4 9,300."""
+    shapes, and the degree-3 row computes no H~_1: shape_h1 misses its memo
+    141 times and hits it 384.  One H~_1 per fiber would make 525, and one
+    per fiber of all of S_3 and S_4 9,300."""
     shape_h1.cache_clear()
-    calls = count_calls(oracle, "reduced_h1")
     assert first_betti_oracle(hibi_ideal(grid(4, 5))) == 1500
-    assert len(calls) == 141
+    info = shape_h1.cache_info()
+    assert (info.misses, info.hits) == (141, 384)
 
 
 def test_degree_four_row_builds_comparable_pair_fibers_only(count_calls):
@@ -359,13 +367,35 @@ def test_degree_four_row_builds_comparable_pair_fibers_only(count_calls):
     assert len(shapes) == 525 == len(L.comparable_pairs())
     assert multichains(L, 4) == 8820
     assert [args[1] for args in enumerations] == [3]
-    codes = fiber_codes(L, 4)
+    codes = fiber_codes(L)
     comparable = {sum(codes[v] for v in lo + hi)
                   for lo, hi in L.comparable_pairs()}
     expected = sorted(sorted(f) for f in _reference_fibers(L, 4)
                       if sum(codes[v] for v in f[0]) in comparable)
     assert sorted(sorted(args[0]) for args in shapes) == expected
     assert min(len(args[0]) for args in shapes) >= 4
+
+
+def test_comparable_pair_fibers_are_not_cones(census_to_twelve,
+                                              count_calls):
+    """The lemma of the oracle module docstring: for every comparable pair
+    ((a, b), (c, e)) the supports {a, b, c, e} and {a&b, a|b, c&e, c|e} of
+    two monomials of its fiber are disjoint, so no comparable-pair fiber is
+    a cone.  Census <= 12 and the grids m x n, 1 <= m <= n <= 6: 11,834
+    pairs, whose fibers number 11,814."""
+    shaped = count_calls(oracle, "face_shape")
+    lattices = census_to_twelve + [grid(m, n) for m in range(1, 7)
+                                   for n in range(m, 7)]
+    pairs = 0
+    for L in lattices:
+        for (a, b), (c, e) in L.comparable_pairs():
+            primed = {L.meet[a][b], L.join[a][b], L.meet[c][e], L.join[c][e]}
+            assert primed.isdisjoint((a, b, c, e))
+            pairs += 1
+        graded_betti_row(hibi_ideal(L), 4)
+    fibers = [args[0] for args in shaped]
+    assert not any(set.intersection(*map(set, f)) for f in fibers)
+    assert (pairs, len(fibers)) == (11834, 11814)
 
 
 def test_degree_three_row_is_the_kernel(count_calls):
@@ -375,11 +405,12 @@ def test_degree_three_row_is_the_kernel(count_calls):
     I = hibi_ideal(grid(4, 5))
     shape_h1.cache_clear()
     calls = [count_calls(oracle, name) for name in
-             ("combinations_with_replacement", "face_shape", "reduced_h1")]
+             ("combinations_with_replacement", "face_shape")]
     k = kernel_dim(I, 3)
     assert graded_betti_row(I, 3) == GradedBettiRow(3, k, 0, k)
     assert k == 1500
-    assert calls == [[], [], []]
+    assert calls == [[], []]
+    assert shape_h1.cache_info().misses == 0
 
 
 def test_oracle_enumerates_s3_once(count_calls):
@@ -413,8 +444,8 @@ def test_degree_three_fibers_carry_their_kernel():
     dim H~_1(Delta_b), computed on the fiber itself."""
     fibers = positive = 0
     for L in list(enumerate_distributive(9)) + [grid(2, 3)]:
-        kernels = fiber_kernels(hibi_ideal(L), 3)
-        codes = fiber_codes(L, 3)
+        kernels = fiber_kernels(hibi_ideal(L))
+        codes = fiber_codes(L)
         for f in _reference_fibers(L, 3):
             b = sum(codes[v] for v in f[0])
             assert kernels[b] == reduced_h1([set(m) for m in f])
